@@ -3,89 +3,29 @@
 Treats a quantized series as text: the forecast is the follower of the
 historical window most similar to the last N observations, optionally with
 local linear trends removed before matching and transferred afterwards.
+Every other name stays reachable through its module.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DegenerateRange,
-    EmptyInput,
-    InsufficientPoints,
-    InvalidLevels,
-    NgramcastError,
-    NoValidCandidate,
-    ParseError,
-    SeriesTooShort,
-    UndefinedCorrelation,
-    WindowTooSmall,
-)
+from .errors import NgramcastError
 from .evaluation import BacktestReport, GeneratorSpec, generate, holdout_backtest
-from .forecasting import (
-    Forecast,
-    ForecastConfig,
-    HoltConfig,
-    TrendMode,
-    derive_window_length,
-    forecast,
-    forecast_holt,
-    forecast_linguistic,
-    forecast_linguo_correlation,
-    validate_multiplier,
-)
-from .matching import (
-    SimilarityCriterion,
-    WindowMatch,
-    enumerate_candidates,
-    find_best_match,
-    score_window,
-)
-from .series import (
-    LinearTrend,
-    QuantizationGrid,
-    TimeSeries,
-    detrend,
-    extrapolate_trend,
-    fit_linear_trend,
-    pearson,
-    quantize,
-)
+from .forecasting import Forecast, ForecastConfig, HoltConfig, TrendMode, forecast, forecast_holt
+from .matching import SimilarityCriterion
+from .series import TimeSeries
 
 __all__ = [
     "BacktestReport",
-    "DegenerateRange",
-    "EmptyInput",
     "Forecast",
     "ForecastConfig",
     "GeneratorSpec",
     "HoltConfig",
-    "InsufficientPoints",
-    "InvalidLevels",
-    "LinearTrend",
     "NgramcastError",
-    "NoValidCandidate",
-    "ParseError",
-    "QuantizationGrid",
-    "SeriesTooShort",
     "SimilarityCriterion",
     "TimeSeries",
     "TrendMode",
-    "UndefinedCorrelation",
-    "WindowMatch",
-    "WindowTooSmall",
-    "derive_window_length",
-    "detrend",
-    "enumerate_candidates",
-    "extrapolate_trend",
-    "find_best_match",
-    "fit_linear_trend",
     "forecast",
     "forecast_holt",
-    "forecast_linguistic",
-    "forecast_linguo_correlation",
     "generate",
     "holdout_backtest",
-    "pearson",
-    "quantize",
-    "score_window",
-    "validate_multiplier",
 ]

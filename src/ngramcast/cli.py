@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -24,8 +25,8 @@ from .evaluation import (
     SINUSOID_LINEAR,
     SINUSOID_QUADRATIC,
     GeneratorSpec,
-    error_metrics,
     generate,
+    holdout_backtest,
 )
 from .forecasting import (
     ForecastConfig,
@@ -43,10 +44,14 @@ def ingest_csv(path) -> tuple[TimeSeries, list[str] | None]:
     """Read a series from a one-column (value) or two-column (label, value) CSV.
 
     A header row is auto-detected: if the value field of the first row is not
-    numeric, the row is skipped. Labels are preserved for output but ignored
+    numeric, the row is skipped. A nan or infinite value is a ParseError in
+    any row, the first included. Labels are preserved for output but ignored
     for modeling. Returns (series, labels-or-None).
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise NgramcastError(f"{path} is not UTF-8 text") from None
     rows = [line for line in text.splitlines() if line.strip()]
     if not rows:
         raise EmptyInput(f"no data rows in {path}")
@@ -67,6 +72,8 @@ def ingest_csv(path) -> tuple[TimeSeries, list[str] | None]:
             if i == 1:
                 continue  # header row
             raise ParseError(i, line) from None
+        if not math.isfinite(value):
+            raise ParseError(i, line)
         values.append(value)
         labels.append(label)
     if not values:
@@ -81,10 +88,6 @@ def _write_csv(path, rows, header=None):
     for row in rows:
         lines.append(",".join(repr(c) if isinstance(c, float) else str(c) for c in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _input_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _manifest(subcommand: str, config: dict, digest: str | None) -> dict:
@@ -163,25 +166,10 @@ def _run_forecast(args, holdout: bool) -> int:
         warnings.simplefilter("always")
         series, _ = ingest_csv(args.input)
         horizon = args.horizon
-        k = len(series)
-
         mult_ok, mult_msg = validate_multiplier(horizon, args.multiplier)
 
-        if holdout:
-            if k <= horizon:
-                raise NgramcastError(
-                    f"series length {k} too short to hold out {horizon} values"
-                )
-            train = TimeSeries(series.values[: k - horizon])
-            actual = series.values[k - horizon :]
-            first_index = k - horizon + 1
-        else:
-            train = series
-            actual = None
-            first_index = k + 1
-
         if args.method == "holt":
-            result = forecast_holt(train, HoltConfig(args.xi, args.phi), horizon)
+            config = HoltConfig(args.xi, args.phi)
         else:
             config = ForecastConfig(
                 horizon=horizon,
@@ -191,21 +179,29 @@ def _run_forecast(args, holdout: bool) -> int:
                 trend_mode=TrendMode(args.trend),
                 window=args.window,
             )
-            result = forecast(train, config)
+        if holdout:
+            backtest, result = holdout_backtest(series, config, horizon)
+        elif args.method == "holt":
+            result = forecast_holt(series, config, horizon)
+        else:
+            result = forecast(series, config)
 
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
     if not mult_ok:
         print(f"warning: {mult_msg}", file=sys.stderr)
 
+    first_index = len(series) - horizon + 1 if holdout else len(series) + 1
     indices = list(range(first_index, first_index + horizon))
     if args.output:
         _write_csv(args.output, zip(indices, result.values), header=("index", "value"))
 
     if args.plot_data:
-        rows = [("history", i + 1, float(v)) for i, v in enumerate(train.values)]
+        history = series.values[: first_index - 1]
+        rows = [("history", i + 1, float(v)) for i, v in enumerate(history)]
         rows += [("forecast", i, float(v)) for i, v in zip(indices, result.values)]
-        if actual is not None:
+        if holdout:
+            actual = series.values[first_index - 1 :]
             rows += [("actual", i, float(v)) for i, v in zip(indices, actual)]
         _write_csv(args.plot_data, rows, header=("series", "index", "value"))
 
@@ -213,7 +209,7 @@ def _run_forecast(args, holdout: bool) -> int:
         "manifest": _manifest(
             "backtest" if holdout else "forecast",
             _config_dict(args, holdout),
-            _input_digest(args.input),
+            hashlib.sha256(Path(args.input).read_bytes()).hexdigest(),
         ),
         "method": result.method,
         "matched_start": result.matched_start,
@@ -221,14 +217,13 @@ def _run_forecast(args, holdout: bool) -> int:
         "multiplier_check": {"ok": mult_ok, "message": mult_msg},
         "forecast": {"first_index": first_index, "values": list(result.values)},
     }
-    if actual is not None:
-        mae, rmse, mape, skipped, corr = error_metrics(result.values, actual)
+    if holdout:
         report["metrics"] = {
-            "mae": mae,
-            "rmse": rmse,
-            "mape": mape,
-            "mape_skipped": skipped,
-            "correlation": corr,
+            "mae": backtest.mae,
+            "rmse": backtest.rmse,
+            "mape": backtest.mape,
+            "mape_skipped": backtest.mape_skipped,
+            "correlation": backtest.correlation,
         }
     payload = json.dumps(report, indent=2)
     if args.report:
@@ -274,6 +269,10 @@ def main(argv=None) -> int:
         return _run_forecast(args, holdout=(args.subcommand == "backtest" or args.holdout))
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        verb = "read" if exc.filename == getattr(args, "input", None) else "write"
+        print(f"error: cannot {verb} {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except (NgramcastError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ class InvalidLevels(NgramcastError):
 
 
 class DegenerateRange(NgramcastError):
-    """Series is constant, so the quantization grid is undefined."""
+    """The quantization grid is undefined: the series is constant or its range overflows."""
 
 
 class InsufficientPoints(NgramcastError):

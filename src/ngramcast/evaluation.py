@@ -111,7 +111,8 @@ class BacktestReport:
     config: object
 
     def __post_init__(self):
-        if self.mae > self.rmse + 1e-12:
+        # a constant error makes MAE equal RMSE, so allow rounding relative to scale
+        if self.mae > self.rmse + 1e-12 * max(1.0, self.rmse):
             raise ValueError("MAE cannot exceed RMSE")
 
 

@@ -1,10 +1,10 @@
-"""Forecasting pipelines: phrase matching (plain and trend-aware) and the Holt baseline.
+"""Forecasting: the phrase-matching pipeline and the Holt baseline.
 
-Pipeline order for the phrase methods: the raw series is quantized once
-globally, then windows are detrended individually at comparison time. The
-trend-aware variant transfers the query window's local trend onto the matched
-follower: the candidate's own extrapolated trend is subtracted first so it is
-not double-counted.
+Pipeline order for the phrase method: the raw series is quantized once
+globally, then windows are detrended individually at comparison time when
+trend_mode is LINEAR. That mode also transfers the query window's local trend
+onto the matched follower: the candidate's own extrapolated trend is
+subtracted first so it is not double-counted.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SeriesTooShort, WindowTooSmall
 from .matching import SimilarityCriterion, find_best_match
-from .series import LinearTrend, TimeSeries, extrapolate_trend, fit_linear_trend, quantize
+from .series import TimeSeries, fit_linear_trend, quantize
 
 
 class TrendMode(enum.Enum):
@@ -125,72 +125,42 @@ def validate_multiplier(horizon: int, multiplier: float) -> tuple[bool, str]:
     )
 
 
-def _constant_shortcut(series: TimeSeries, horizon: int, method: str, config) -> Forecast:
-    warnings.warn(
-        "constant series: quantization skipped, forecast is the constant",
-        stacklevel=3,
-    )
-    c = float(series.values[0])
-    return Forecast((c,) * horizon, matched_start=0, score=0.0, method=method, config=config)
+def forecast(series: TimeSeries, config: ForecastConfig) -> Forecast:
+    """Quantize, find the best-matching phrase, copy its follower.
 
-
-def forecast_linguistic(series: TimeSeries, config: ForecastConfig) -> Forecast:
-    """Quantize, find the best-matching phrase, copy its follower verbatim."""
-    if config.trend_mode is not TrendMode.NONE:
-        raise ValueError("forecast_linguistic requires trend_mode=NONE")
-    p = config.horizon
-    if series.is_constant:
-        return _constant_shortcut(series, p, "linguistic", config)
-    n = config.window_length
-    quantized, _ = quantize(series, config.levels)
-    match = find_best_match(quantized, n, p, config.criterion, detrend_mode=False)
-    follower = quantized.values[match.start - 1 + n : match.start - 1 + n + p]
-    return Forecast(
-        tuple(follower),
-        matched_start=match.start,
-        score=match.score,
-        method="linguistic",
-        config=config,
-    )
-
-
-def forecast_linguo_correlation(series: TimeSeries, config: ForecastConfig) -> Forecast:
-    """Trend-aware variant: match detrended phrases, then transfer the query trend.
-
+    Under TrendMode.LINEAR the windows are matched detrended and the query's
+    trend is transferred onto the follower:
     forecast[j] = follower[j] - T_cand(N+j) + T_query(N+j), with both trends
     fitted over local positions 1..N of the quantized windows.
     """
-    if config.trend_mode is not TrendMode.LINEAR:
-        raise ValueError("forecast_linguo_correlation requires trend_mode=LINEAR")
+    linear = config.trend_mode is TrendMode.LINEAR
+    method = "linguo-correlation" if linear else "linguistic"
     p = config.horizon
     if series.is_constant:
-        return _constant_shortcut(series, p, "linguo-correlation", config)
+        warnings.warn(
+            "constant series: quantization skipped, forecast is the constant",
+            stacklevel=2,
+        )
+        c = float(series.values[0])
+        return Forecast((c,) * p, matched_start=0, score=0.0, method=method, config=config)
     n = config.window_length
     quantized, _ = quantize(series, config.levels)
-    match = find_best_match(quantized, n, p, config.criterion, detrend_mode=True)
+    match = find_best_match(quantized, n, p, config.criterion, detrend_mode=linear)
     qv = quantized.values
-    k = qv.size
-    follower = qv[match.start - 1 + n : match.start - 1 + n + p]
-    trend_cand = fit_linear_trend(qv[match.start - 1 : match.start - 1 + n])
-    trend_query = fit_linear_trend(qv[k - n :])
-    positions = np.arange(n + 1, n + p + 1)
-    values = follower - extrapolate_trend(trend_cand, positions) + extrapolate_trend(
-        trend_query, positions
-    )
+    begin = match.start - 1
+    values = qv[begin + n : begin + n + p]
+    if linear:
+        trend_cand = fit_linear_trend(qv[begin : begin + n])
+        trend_query = fit_linear_trend(qv[qv.size - n :])
+        positions = np.arange(n + 1, n + p + 1)
+        values = values - trend_cand.at(positions) + trend_query.at(positions)
     return Forecast(
         tuple(values),
         matched_start=match.start,
         score=match.score,
-        method="linguo-correlation",
+        method=method,
         config=config,
     )
-
-
-def forecast(series: TimeSeries, config: ForecastConfig) -> Forecast:
-    """Dispatch on trend_mode to the plain or trend-aware phrase method."""
-    if config.trend_mode is TrendMode.LINEAR:
-        return forecast_linguo_correlation(series, config)
-    return forecast_linguistic(series, config)
 
 
 def forecast_holt(series: TimeSeries, holt: HoltConfig, horizon: int) -> Forecast:

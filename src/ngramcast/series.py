@@ -59,10 +59,12 @@ class QuantizationGrid:
             raise InvalidLevels(f"levels must be >= 1, got {self.levels}")
         if not self.max > self.min:
             raise DegenerateRange(f"max ({self.max}) must exceed min ({self.min})")
-        object.__setattr__(self, "step", (self.max - self.min) / self.levels)
-
-    def points(self) -> np.ndarray:
-        return self.min + self.step * np.arange(self.levels + 1)
+        step = (self.max - self.min) / self.levels
+        if not math.isfinite(step):
+            raise DegenerateRange(
+                f"value range [{self.min}, {self.max}] is too wide: max - min overflows float64"
+            )
+        object.__setattr__(self, "step", step)
 
     def snap(self, values: np.ndarray) -> np.ndarray:
         """Round each value to the nearest grid point; exact midpoints go up."""
@@ -79,9 +81,9 @@ class LinearTrend:
 
     slope: float
     intercept: float
-    origin: int = 1
 
     def at(self, positions) -> np.ndarray:
+        """Evaluate the line at the given 1-based positions."""
         x = np.asarray(positions, dtype=np.float64)
         return self.slope * x + self.intercept
 
@@ -124,14 +126,6 @@ def detrend(window, trend: LinearTrend) -> np.ndarray:
     """Subtract the trend evaluated at the window's own 1-based positions."""
     y = np.asarray(window, dtype=np.float64)
     return y - trend.at(np.arange(1, y.size + 1))
-
-
-def extrapolate_trend(trend: LinearTrend, positions) -> np.ndarray:
-    """Evaluate the trend line at the given 1-based positions."""
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.size == 0:
-        raise ValueError("positions must be non-empty")
-    return trend.at(pos)
 
 
 def pearson(a, b) -> float:

@@ -15,19 +15,14 @@ from ngramcast import (
     SimilarityCriterion,
     TimeSeries,
     TrendMode,
-    find_best_match,
-    fit_linear_trend,
     forecast,
     forecast_holt,
-    forecast_linguistic,
-    forecast_linguo_correlation,
     generate,
-    pearson,
-    quantize,
 )
 from ngramcast.cli import ingest_csv, main
 from ngramcast.evaluation import clean_values
-from ngramcast.series import detrend
+from ngramcast.matching import find_best_match
+from ngramcast.series import detrend, fit_linear_trend, pearson, quantize
 
 from test_matching import brute_force_best
 
@@ -49,7 +44,7 @@ def test_criterion_1_seasonal_no_trend():
     started = time.perf_counter()
     series = generate(FIG2)
     config = ForecastConfig(horizon=20, multiplier=1.0, levels=32, criterion=DIFF)
-    result = forecast_linguistic(series, config)
+    result = forecast(series, config)
     continuation = clean_values(FIG2, np.arange(101, 121))
     assert result.matched_start == 56  # exactly one period before the query at 81
     assert rmse(result.values, continuation) <= 0.125
@@ -62,7 +57,7 @@ def test_criterion_2_noise_robustness():
     spec = GeneratorSpec(length=100, noise=0.15, seed=7)
     series = generate(spec)
     config = ForecastConfig(horizon=20, multiplier=1.0, levels=32, criterion=DIFF)
-    result = forecast_linguistic(series, config)
+    result = forecast(series, config)
     continuation = clean_values(FIG2, np.arange(101, 121))
     assert rmse(result.values, continuation) <= 0.30
     assert time.perf_counter() - started < 1.0
@@ -79,7 +74,7 @@ def test_criterion_3_linear_trend_both_criteria():
             horizon=20, multiplier=1.0, levels=30, criterion=criterion,
             trend_mode=TrendMode.LINEAR,
         )
-        result = forecast_linguo_correlation(series, config)
+        result = forecast(series, config)
         assert rmse(result.values, continuation) <= bound, criterion
     report("criterion 3: linear trend, RMSE <= 5% of range for both criteria")
 
@@ -91,7 +86,7 @@ def test_criterion_4_trend_mode_on_trend_free_series():
         horizon=20, multiplier=1.0, levels=32, criterion=DIFF,
         trend_mode=TrendMode.LINEAR,
     )
-    result = forecast_linguo_correlation(series, config)
+    result = forecast(series, config)
     assert rmse(result.values, continuation) <= 0.25  # 2x the criterion-1 bound
     report("criterion 4: trend mode on trend-free series, RMSE <= 0.25")
 
@@ -107,7 +102,7 @@ def test_criterion_5_nonlinear_trend_beats_holt():
         horizon=20, multiplier=1.0, levels=30, criterion=DIFF,
         trend_mode=TrendMode.LINEAR,
     )
-    linguistic_rmse = rmse(forecast_linguo_correlation(series, config).values, continuation_20)
+    linguistic_rmse = rmse(forecast(series, config).values, continuation_20)
 
     grid = (0.1, 0.3, 0.5, 0.7, 0.9)
     for xi in grid:

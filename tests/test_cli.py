@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ngramcast import EmptyInput, ParseError
+import ngramcast
+from ngramcast.errors import EmptyInput, ParseError
 from ngramcast.cli import ingest_csv, main
 from ngramcast.evaluation import GeneratorSpec, generate
 
@@ -29,6 +34,17 @@ class TestIngestCsv:
         with pytest.raises(ParseError) as exc:
             ingest_csv(path)
         assert exc.value.row == 2
+
+    @pytest.mark.parametrize("row", [1, 2])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_row(self, tmp_path, bad, row):
+        lines = ["1", "2"]
+        lines[row - 1] = bad
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            ingest_csv(path)
+        assert exc.value.row == row
 
     def test_empty_input(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -135,6 +151,37 @@ class TestForecastCommand:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["directory", "utf16", "output-directory"])
+    def test_unusable_path_is_one_line_error(self, fig2_csv, tmp_path, capsys, case):
+        utf16 = tmp_path / "utf16.csv"
+        utf16.write_bytes(b"\xff\xfe1\x00\n\x00")
+        argv, expected = {
+            "directory": (["--input", str(tmp_path)], f"error: cannot read {tmp_path}: "),
+            "utf16": (["--input", str(utf16)], f"error: {utf16} is not UTF-8 text"),
+            "output-directory": (["--input", str(fig2_csv), "--output", str(tmp_path)],
+                                 f"error: cannot write {tmp_path}: "),
+        }[case]
+        rc = main(["forecast", "--horizon", "5"] + argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(expected)
+
+    def test_too_wide_range_is_one_line_error(self, tmp_path):
+        # max - min overflows float64; -W error turns any stray warning into a failure
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(["1e308", "-1e308", "0"] * 20) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(ngramcast.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ngramcast.cli", "forecast",
+             "--input", str(path), "--horizon", "5"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: value range [-1e+308, 1e+308] is too wide: max - min overflows float64"
+        ]
+
     def test_unknown_flag_fails_fast(self, fig2_csv, tmp_path, capsys):
         out = tmp_path / "fc.csv"
         rc = main(
@@ -187,6 +234,20 @@ class TestBacktestCommand:
         assert metrics["mae"] <= metrics["rmse"] + 1e-12
         assert metrics["rmse"] <= 0.125
         assert data["forecast"]["first_index"] == 81
+
+    def test_large_constant_error_is_scored(self, tmp_path):
+        # rounding puts MAE one ulp above RMSE here; the backtest must still succeed
+        path = tmp_path / "s.csv"
+        path.write_text("0\n" * 25 + "1e12\n" * 5)
+        report = tmp_path / "report.json"
+        rc = main(
+            ["backtest", "--input", str(path), "--horizon", "5", "--method", "holt",
+             "--report", str(report)]
+        )
+        assert rc == 0
+        metrics = json.loads(report.read_text())["metrics"]
+        assert metrics["mae"] == 1e12
+        assert metrics["rmse"] == pytest.approx(1e12, rel=1e-15)
 
     def test_plot_data_includes_actual(self, tmp_path):
         path = tmp_path / "s.csv"

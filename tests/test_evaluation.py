@@ -5,11 +5,11 @@ from ngramcast import (
     ForecastConfig,
     GeneratorSpec,
     HoltConfig,
-    SeriesTooShort,
     TimeSeries,
     generate,
     holdout_backtest,
 )
+from ngramcast.errors import SeriesTooShort
 from ngramcast.evaluation import clean_values, error_metrics, uniform_noise
 
 

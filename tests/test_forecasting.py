@@ -4,20 +4,16 @@ import pytest
 from ngramcast import (
     ForecastConfig,
     HoltConfig,
-    NoValidCandidate,
-    SeriesTooShort,
     SimilarityCriterion,
     TimeSeries,
     TrendMode,
-    WindowTooSmall,
-    derive_window_length,
     forecast,
     forecast_holt,
-    forecast_linguistic,
-    forecast_linguo_correlation,
-    validate_multiplier,
 )
+from ngramcast.errors import NoValidCandidate, SeriesTooShort, WindowTooSmall
 from ngramcast.evaluation import GeneratorSpec, clean_values, generate
+from ngramcast.forecasting import derive_window_length, validate_multiplier
+from ngramcast.series import quantize
 
 DIFF = SimilarityCriterion.DIFFERENCE
 CORR = SimilarityCriterion.CORRELATION
@@ -61,7 +57,7 @@ class TestLinguistic:
         spec = GeneratorSpec(length=100)
         series = generate(spec)
         config = ForecastConfig(horizon=20, multiplier=1.0, levels=32)
-        result = forecast_linguistic(series, config)
+        result = forecast(series, config)
         continuation = clean_values(spec, np.arange(101, 121))
         step = (series.values.max() - series.values.min()) / 32
         assert result.matched_start == 56
@@ -72,11 +68,9 @@ class TestLinguistic:
         rng = np.random.RandomState(20)
         series = TimeSeries(rng.uniform(0, 10, size=80))
         config = ForecastConfig(horizon=5, multiplier=2.0, levels=16)
-        result = forecast_linguistic(series, config)
-        from ngramcast import quantize
-
+        result = forecast(series, config)
         grid = quantize(series, 16)[1]
-        points = grid.points()
+        points = grid.min + grid.step * np.arange(grid.levels + 1)
         for v in result.values:
             assert np.min(np.abs(points - v)) <= 1e-9
 
@@ -84,26 +78,20 @@ class TestLinguistic:
         series = TimeSeries(np.full(100, 5.0))
         config = ForecastConfig(horizon=7)
         with pytest.warns(UserWarning):
-            result = forecast_linguistic(series, config)
+            result = forecast(series, config)
         assert result.values == (5.0,) * 7
 
     def test_too_short(self):
         series = TimeSeries(np.arange(40, dtype=float) % 7)
         with pytest.raises(SeriesTooShort):
-            forecast_linguistic(series, ForecastConfig(horizon=20, multiplier=1.0))
-
-    def test_rejects_linear_trend_mode(self):
-        series = TimeSeries(np.arange(50, dtype=float) % 5)
-        config = ForecastConfig(horizon=3, multiplier=3.0, trend_mode=TrendMode.LINEAR)
-        with pytest.raises(ValueError):
-            forecast_linguistic(series, config)
+            forecast(series, ForecastConfig(horizon=20, multiplier=1.0))
 
     def test_shift_equivariance(self):
         rng = np.random.RandomState(21)
         vals = rng.randint(0, 20, size=90).astype(float)
         config = ForecastConfig(horizon=5, multiplier=2.0, levels=10)
-        base = forecast_linguistic(TimeSeries(vals), config)
-        shifted = forecast_linguistic(TimeSeries(vals + 3.0), config)
+        base = forecast(TimeSeries(vals), config)
+        shifted = forecast(TimeSeries(vals + 3.0), config)
         assert shifted.matched_start == base.matched_start
         assert np.allclose(
             np.asarray(shifted.values), np.asarray(base.values) + 3.0, atol=1e-9
@@ -113,8 +101,8 @@ class TestLinguistic:
         rng = np.random.RandomState(22)
         vals = rng.uniform(0, 1, size=70)
         config = ForecastConfig(horizon=4, multiplier=2.0, levels=12)
-        a = forecast_linguistic(TimeSeries(vals), config)
-        b = forecast_linguistic(TimeSeries(vals), config)
+        a = forecast(TimeSeries(vals), config)
+        b = forecast(TimeSeries(vals), config)
         assert a.values == b.values
         assert a.matched_start == b.matched_start
 
@@ -130,7 +118,7 @@ class TestLinguoCorrelation:
                 horizon=20, multiplier=1.0, levels=30, criterion=crit,
                 trend_mode=TrendMode.LINEAR,
             )
-            result = forecast_linguo_correlation(series, config)
+            result = forecast(series, config)
             rmse = np.sqrt(np.mean((np.asarray(result.values) - continuation) ** 2))
             assert rmse <= 0.05 * value_range
 
@@ -138,8 +126,8 @@ class TestLinguoCorrelation:
         spec = GeneratorSpec(length=100)
         series = generate(spec)
         continuation = clean_values(spec, np.arange(101, 121))
-        plain = forecast_linguistic(series, ForecastConfig(horizon=20, levels=32))
-        trended = forecast_linguo_correlation(
+        plain = forecast(series, ForecastConfig(horizon=20, levels=32))
+        trended = forecast(
             series,
             ForecastConfig(horizon=20, levels=32, trend_mode=TrendMode.LINEAR),
         )
@@ -154,7 +142,7 @@ class TestLinguoCorrelation:
         config = ForecastConfig(
             horizon=5, multiplier=2.0, levels=99, trend_mode=TrendMode.LINEAR
         )
-        result = forecast_linguo_correlation(series, config)
+        result = forecast(series, config)
         assert np.allclose(result.values, [101, 102, 103, 104, 105], atol=1e-9)
 
     def test_pure_line_correlation_has_no_candidate(self):
@@ -164,7 +152,7 @@ class TestLinguoCorrelation:
             trend_mode=TrendMode.LINEAR,
         )
         with pytest.raises(NoValidCandidate):
-            forecast_linguo_correlation(series, config)
+            forecast(series, config)
 
     def test_exact_limit_with_fine_grid(self):
         # exactly periodic pattern + exact line, huge S: forecast is exact
@@ -175,7 +163,7 @@ class TestLinguoCorrelation:
         config = ForecastConfig(
             horizon=8, multiplier=1.0, levels=10**4, trend_mode=TrendMode.LINEAR
         )
-        result = forecast_linguo_correlation(series, config)
+        result = forecast(series, config)
         expected = np.tile(pattern, 13)[96:104] + 0.5 * np.arange(97, 105)
         assert np.allclose(result.values, expected, atol=1e-2)
 

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from ngramcast import (
-    NoValidCandidate,
-    SeriesTooShort,
-    SimilarityCriterion,
-    TimeSeries,
-    UndefinedCorrelation,
-    enumerate_candidates,
-    find_best_match,
-    score_window,
-)
+from ngramcast import SimilarityCriterion, TimeSeries
+from ngramcast.errors import NoValidCandidate, SeriesTooShort, UndefinedCorrelation
+from ngramcast.matching import enumerate_candidates, find_best_match, score_window
 from ngramcast.series import detrend, fit_linear_trend, pearson
 
 DIFF = SimilarityCriterion.DIFFERENCE

@@ -4,15 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ngramcast import (
+from ngramcast.errors import (
     DegenerateRange,
     InsufficientPoints,
     InvalidLevels,
+    UndefinedCorrelation,
+)
+from ngramcast.series import (
     LinearTrend,
     TimeSeries,
-    UndefinedCorrelation,
     detrend,
-    extrapolate_trend,
     fit_linear_trend,
     pearson,
     quantize,
@@ -65,7 +66,7 @@ class TestQuantize:
         q, grid = quantize(TimeSeries(np.array([0.0, 1.30, 1.20, 4.0])), 8)
         assert grid.step == 0.5
         # brute-force nearest-point scan as the oracle, ties to the higher point
-        points = grid.points()
+        points = grid.min + grid.step * np.arange(grid.levels + 1)
         for orig, snapped in zip([0.0, 1.30, 1.20, 4.0], q.values):
             dist = np.abs(points - orig)
             best = points[dist == dist.min()].max()
@@ -156,15 +157,13 @@ class TestLinearTrend:
             assert abs(t2.intercept) <= bound
 
     def test_extrapolate(self):
-        assert np.allclose(extrapolate_trend(LinearTrend(2, 1), [4, 5]), [9, 11])
-        assert np.allclose(extrapolate_trend(LinearTrend(0, 5), [1, 2, 3]), [5, 5, 5])
-        assert np.allclose(
-            extrapolate_trend(LinearTrend(0.6, 0.5), [5, 6, 7]), [3.5, 4.1, 4.7]
-        )
+        assert np.allclose(LinearTrend(2, 1).at([4, 5]), [9, 11])
+        assert np.allclose(LinearTrend(0, 5).at([1, 2, 3]), [5, 5, 5])
+        assert np.allclose(LinearTrend(0.6, 0.5).at([5, 6, 7]), [3.5, 4.1, 4.7])
 
     def test_extrapolate_continues_fit(self):
         t = fit_linear_trend([3, 5, 7])
-        assert np.allclose(extrapolate_trend(t, [4, 5]), [9, 11])
+        assert np.allclose(t.at([4, 5]), [9, 11])
 
 
 class TestPearson:
