@@ -12,6 +12,22 @@ from ngramcast import (
 from ngramcast.errors import SeriesTooShort
 from ngramcast.evaluation import clean_values, error_metrics, uniform_noise
 
+MASK64 = (1 << 64) - 1
+
+
+def stepped_noise(half_width: float, count: int, seed: int) -> np.ndarray:
+    """Oracle: the documented splitmix64 stepper, one Python-integer step per sample."""
+    out = []
+    state = seed & MASK64
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        z ^= z >> 31
+        out.append((2.0 * (z / 2.0**64) - 1.0) * half_width)
+    return np.array(out, dtype=np.float64)
+
 
 class TestGenerator:
     def test_determinism(self):
@@ -35,6 +51,15 @@ class TestGenerator:
         draws = uniform_noise(0.15, 10**5, seed=7)
         assert np.all(np.abs(draws) <= 0.15)
         assert abs(draws.mean()) <= 0.005
+
+    @pytest.mark.parametrize("count", [0, 1, 20_000])
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**63, 2**64 - 1, 2**64 + 5])
+    def test_noise_is_the_splitmix64_stepper_bit_for_bit(self, seed, count):
+        for half_width in (0.0, 1e-300, 0.15, 1.0, 3.75e5):
+            got = uniform_noise(half_width, count, seed)
+            want = stepped_noise(half_width, count, seed)
+            assert got.dtype == np.float64 and got.shape == (count,)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_linear_trend_component(self):
         spec = GeneratorSpec(kind="sinusoid-linear", length=100, slope=0.02)
