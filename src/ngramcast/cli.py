@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import warnings
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -52,41 +53,44 @@ def ingest_csv(path) -> tuple[TimeSeries, list[str] | None]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise NgramcastError(f"{path} is not UTF-8 text") from None
-    rows = [line for line in text.splitlines() if line.strip()]
+    rows = list(filter(str.strip, text.splitlines()))
     if not rows:
         raise EmptyInput(f"no data rows in {path}")
-    values: list[float] = []
-    labels: list[str] = []
-    two_column = "," in rows[0]
-    for i, line in enumerate(rows, start=1):
-        fields = line.split(",")
-        if two_column and len(fields) == 2:
-            label, field = fields[0].strip(), fields[1].strip()
-        elif not two_column and len(fields) == 1:
-            label, field = "", fields[0].strip()
-        else:
-            raise ParseError(i, line)
-        try:
-            value = float(field)
-        except ValueError:
-            if i == 1:
-                continue  # header row
-            raise ParseError(i, line) from None
-        if not math.isfinite(value):
-            raise ParseError(i, line)
-        values.append(value)
-        labels.append(label)
-    if not values:
+    commas = 1 if "," in rows[0] else 0
+    header = rows[0].count(",") == commas and _row_value(rows[0], commas) is None
+    body = rows[1:] if header else rows
+    if not body:
         raise EmptyInput(f"no data rows in {path}")
-    return TimeSeries(np.asarray(values)), (labels if two_column else None)
+    # Parse all rows with C-level calls; go row by row only to name the first bad row.
+    labels, values, fields = None, None, body
+    if commas:
+        pieces = ",".join(body).split(",")  # label, value, ... when each row has one comma
+        labels, fields = list(map(str.strip, pieces[0::2])), pieces[1::2]
+    # float() rejects a comma, so only label,value rows need their commas counted.
+    if not commas or set(map(str.count, body, repeat(","))) == {1}:
+        try:
+            values = np.array(list(map(float, map(str.strip, fields))))
+        except ValueError:
+            pass
+    if values is None or not np.isfinite(values).all():
+        for i, line in enumerate(body, start=2 if header else 1):
+            value = _row_value(line, commas)
+            if value is None or not math.isfinite(value):
+                raise ParseError(i, line)
+    return TimeSeries(values), labels
 
 
-def _write_csv(path, rows, header=None):
-    lines = []
-    if header:
-        lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(repr(c) if isinstance(c, float) else str(c) for c in row))
+def _row_value(line: str, commas: int) -> float | None:
+    """The number in the row's value field, or None (also for a wrong field count:
+    the value field then holds a comma or is empty, and float() accepts neither)."""
+    try:
+        return float((line.partition(",")[2] if commas else line).strip())
+    except ValueError:
+        return None
+
+
+def _write_csv(path, lines) -> None:
+    """Write lines, each ending in a newline; %r of a float is its shortest repr."""
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -192,18 +196,20 @@ def _run_forecast(args, holdout: bool) -> int:
         print(f"warning: {mult_msg}", file=sys.stderr)
 
     first_index = len(series) - horizon + 1 if holdout else len(series) + 1
-    indices = list(range(first_index, first_index + horizon))
+    indices = range(first_index, first_index + horizon)
     if args.output:
-        _write_csv(args.output, zip(indices, result.values), header=("index", "value"))
+        _write_csv(args.output, chain(["index,value"],
+                                      map("%d,%r".__mod__, zip(indices, result.values))))
 
     if args.plot_data:
-        history = series.values[: first_index - 1]
-        rows = [("history", i + 1, float(v)) for i, v in enumerate(history)]
-        rows += [("forecast", i, float(v)) for i, v in zip(indices, result.values)]
-        if holdout:
-            actual = series.values[first_index - 1 :]
-            rows += [("actual", i, float(v)) for i, v in zip(indices, actual)]
-        _write_csv(args.plot_data, rows, header=("series", "index", "value"))
+        values = series.values.tolist()
+        history, actual = values[: first_index - 1], values[first_index - 1 :]
+        _write_csv(args.plot_data, chain(
+            ["series,index,value"],
+            map("history,%d,%r".__mod__, zip(range(1, first_index), history)),
+            map("forecast,%d,%r".__mod__, zip(indices, result.values)),
+            map("actual,%d,%r".__mod__, zip(indices, actual)) if holdout else (),
+        ))
 
     report = {
         "manifest": _manifest(
@@ -246,8 +252,7 @@ def _run_generate(args) -> int:
         seed=args.seed,
     )
     series = generate(spec)
-    lines = [repr(float(v)) for v in series.values]
-    body = "\n".join(lines) + "\n"
+    body = "\n".join(map(repr, series.values.tolist())) + "\n"
     if args.output:
         Path(args.output).write_text(body, encoding="utf-8")
     else:

@@ -3,7 +3,11 @@
 Noise reproducibility: perturbations come from a splitmix64 stepper (constants
 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, shifts 30/27/31)
 mapped to uniforms in [-half_width, half_width], so any implementation of those
-constants reproduces the same series bit for bit.
+constants reproduces the same series bit for bit. Sample i = 1..count is the
+stepper's output after i steps, computed for all i at once in uint64 (mod 2^64):
+    z = seed + i * 0x9E3779B97F4A7C15;  z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+    z = (z ^ z >> 27) * 0x94D049BB133111EB;  z = z ^ z >> 31
+    u = (2 * (z / 2^64) - 1) * half_width   (float64)
 """
 
 from __future__ import annotations
@@ -13,16 +17,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SeriesTooShort, UndefinedCorrelation
+from .errors import InsufficientPoints, SeriesTooShort, UndefinedCorrelation
 from .forecasting import Forecast, ForecastConfig, HoltConfig, forecast, forecast_holt
 from .series import TimeSeries, pearson
 
 SINUSOID = "sinusoid"
 SINUSOID_LINEAR = "sinusoid-linear"
 SINUSOID_QUADRATIC = "sinusoid-quadratic"
-
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -59,23 +60,14 @@ class GeneratorSpec:
             raise ValueError("quadratic must be 0 for kind 'sinusoid-linear'")
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    z = z ^ (z >> 31)
-    return state, z
-
-
 def uniform_noise(half_width: float, count: int, seed: int) -> np.ndarray:
     """count deterministic uniforms on [-half_width, +half_width]."""
-    out = np.empty(count, dtype=np.float64)
-    state = seed & _MASK64
-    for i in range(count):
-        state, z = _splitmix64(state)
-        out[i] = (2.0 * (z / 2.0**64) - 1.0) * half_width
-    return out
+    i = np.arange(1, count + 1, dtype=np.uint64)
+    z = np.uint64(seed % 2**64) + i * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (2.0 * (z / 2.0**64) - 1.0) * half_width
 
 
 def clean_values(spec: GeneratorSpec, positions) -> np.ndarray:
@@ -105,7 +97,7 @@ class BacktestReport:
     rmse: float
     mape: float | None  # percent; None when every actual is 0
     mape_skipped: int  # actuals equal to 0, excluded from MAPE
-    correlation: float | None  # None when forecast or actual is constant
+    correlation: float | None  # None for one point, or when forecast or actual is constant
     horizon: int
     method: str
     config: object
@@ -133,7 +125,7 @@ def error_metrics(predicted, actual) -> tuple[float, float, float | None, int, f
         mape = None
     try:
         corr = pearson(f, a)
-    except UndefinedCorrelation:
+    except (InsufficientPoints, UndefinedCorrelation):
         corr = None
     return mae, rmse, mape, skipped, corr
 

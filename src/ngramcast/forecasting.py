@@ -174,14 +174,15 @@ def forecast_holt(series: TimeSeries, holt: HoltConfig, horizon: int) -> Forecas
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    x = series.values
-    if x.size < 2:
-        raise SeriesTooShort(x.size, 2)
-    level = float(x[0])
-    trend = float(x[1] - x[0])
-    for k in range(1, x.size):
+    x = series.values.tolist()
+    if len(x) < 2:
+        raise SeriesTooShort(len(x), 2)
+    xi, phi = holt.xi, holt.phi
+    level = x[0]
+    trend = x[1] - x[0]
+    for value in x[1:]:
         prev = level
-        level = (1.0 - holt.xi) * float(x[k]) + holt.xi * (level + trend)
-        trend = (1.0 - holt.phi) * (level - prev) + holt.phi * trend
+        level = (1.0 - xi) * value + xi * (level + trend)
+        trend = (1.0 - phi) * (level - prev) + phi * trend
     values = tuple(level + j * trend for j in range(1, horizon + 1))
     return Forecast(values, matched_start=0, score=0.0, method="holt", config=holt)

@@ -249,6 +249,17 @@ class TestBacktestCommand:
         assert metrics["mae"] == 1e12
         assert metrics["rmse"] == pytest.approx(1e12, rel=1e-15)
 
+    @pytest.mark.parametrize("method", [["--method", "holt"], ["--multiplier", "3"]])
+    def test_horizon_one_has_null_correlation(self, tmp_path, capsys, method):
+        path = tmp_path / "s.csv"
+        main(["generate", "--length", "50", "--noise", "0.1", "--output", str(path)])
+        report = tmp_path / "report.json"
+        rc = main(["backtest", "--input", str(path), "--horizon", "1", "--report", str(report),
+                   *method])
+        assert rc == 0
+        assert "error" not in capsys.readouterr().err
+        assert '"correlation": null' in report.read_text()
+
     def test_plot_data_includes_actual(self, tmp_path):
         path = tmp_path / "s.csv"
         main(["generate", "--length", "100", "--output", str(path)])

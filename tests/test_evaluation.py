@@ -111,6 +111,10 @@ class TestMetrics:
         _, _, _, _, corr = error_metrics([1, 1, 1], [1, 2, 3])
         assert corr is None
 
+    def test_correlation_none_for_one_point(self):
+        mae, rmse, mape, skipped, corr = error_metrics([1.5], [2.0])
+        assert (mae, rmse, mape, skipped, corr) == (0.5, 0.5, 25.0, 0, None)
+
     def test_mae_never_exceeds_rmse(self):
         rng = np.random.RandomState(30)
         for _ in range(50):

@@ -87,4 +87,5 @@ def generate_digests(workdir: Path, kind: str, target: str, capsys) -> dict:
 def test_generate_matches_pinned_digests(kind, target, tmp_path, monkeypatch, capsys):
     expected = json.loads((GOLDEN / "digests.json").read_text(encoding="utf-8"))
     monkeypatch.chdir(tmp_path)
-    assert generate_digests(tmp_path, kind, target, capsys) == expected[f"generate/{kind}/{target}"]
+    digests = generate_digests(tmp_path, kind, target, capsys)
+    assert digests == expected[f"generate/{kind}/{target}"]

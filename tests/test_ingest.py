@@ -6,6 +6,7 @@ give the same values bit for bit, the same labels, and the same error: the
 same ParseError row and text, or EmptyInput.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -69,7 +70,8 @@ VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.integers(-(10**6), 10**6).map(str),
     st.sampled_from(["nan", "-inf", "Infinity", "1e400", "-1e400", " 2 ", "\t-0.0 ", "+3",
-                     "1_000", "0x10", "1.5.2", "abc", "value", "", "7\u00a0", "\u0663.5"]),
+                     "1_000", "0x10", "1.5.2", "abc", "value", "", "7\u00a0", "\u0663.5",
+                     "5\x1f"]),  # str.strip() removes U+001F, float() alone does not
 )
 LABELS = st.sampled_from(["", "a", " t1 ", "2021-01-01", "date", "1", "nan"])
 HEADERS = {1: st.sampled_from(["value", " count ", "x"]),
@@ -112,6 +114,7 @@ def test_matches_reference_parser(text, tmp_path):
     "1\n2\ninf\nx\n",
     "a,1\nb,2\nc,nan\nd\n",
     "a,1\nb,x\nc,2,3\n",
+    "a,1\nb,2,3\n4\n",  # as many commas as rows, but not one per row
     "t,v\nb,1\nc\n",
     "1\n\n  \n2\r\n3,4\r\n",
 ])
@@ -123,7 +126,7 @@ def test_first_bad_row_wins(text, tmp_path):
 
 
 class TestShortInputs:
-    """One data row is a valid one-point series; the forecasters then refuse it."""
+    """One data row is a one-point series: constant for the phrase method, too short for Holt."""
 
     def test_one_row_is_a_one_point_series(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -154,3 +157,13 @@ class TestShortInputs:
         err = capsys.readouterr().err
         assert rc == 1
         assert err == "error: series length 1 is below the minimum required length 2\n"
+
+    def test_one_point_phrase_forecast_is_the_constant(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("date,value\n2021-01-01,4.5\n")
+        report = tmp_path / "report.json"
+        rc = main(["forecast", "--input", str(path), "--horizon", "2", "--multiplier", "3",
+                   "--report", str(report)])
+        assert rc == 0
+        assert json.loads(report.read_text())["forecast"]["values"] == [4.5, 4.5]
+        assert "warning: constant series" in capsys.readouterr().err
