@@ -25,6 +25,7 @@ SINUSOID = "sinusoid"
 SINUSOID_LINEAR = "sinusoid-linear"
 SINUSOID_QUADRATIC = "sinusoid-quadratic"
 
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Seasonal series with optional linear/quadratic trend and seeded uniform noise.
