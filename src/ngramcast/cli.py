@@ -49,8 +49,13 @@ def ingest_csv(path) -> tuple[TimeSeries, list[str] | None]:
     any row, the first included. Labels are preserved for output but ignored
     for modeling. Returns (series, labels-or-None).
     """
+    return _parse_csv(Path(path).read_bytes(), path)
+
+
+def _parse_csv(data: bytes, path) -> tuple[TimeSeries, list[str] | None]:
+    """ingest_csv on the file's bytes, already read; path only names the file in errors."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise NgramcastError(f"{path} is not UTF-8 text") from None
     rows = list(filter(str.strip, text.splitlines()))
@@ -117,7 +122,6 @@ def _add_forecast_flags(parser):
     parser.add_argument("--method", choices=["linguistic", "holt"], default="linguistic")
     parser.add_argument("--xi", type=float, default=0.5, help="Holt value smoothing")
     parser.add_argument("--phi", type=float, default=0.5, help="Holt trend smoothing")
-    parser.add_argument("--holdout", action="store_true", help="score against the held-out tail")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,10 +169,14 @@ def _config_dict(args, holdout: bool) -> dict:
     }
 
 
-def _run_forecast(args, holdout: bool) -> int:
+def _run_forecast(args) -> int:
+    holdout = args.subcommand == "backtest"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        series, _ = ingest_csv(args.input)
+        data = Path(args.input).read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        series, _ = _parse_csv(data, args.input)
+        del data  # on long inputs the raw bytes would add to the peak memory of what follows
         horizon = args.horizon
         mult_ok, mult_msg = validate_multiplier(horizon, args.multiplier)
 
@@ -213,9 +221,9 @@ def _run_forecast(args, holdout: bool) -> int:
 
     report = {
         "manifest": _manifest(
-            "backtest" if holdout else "forecast",
+            args.subcommand,
             _config_dict(args, holdout),
-            hashlib.sha256(Path(args.input).read_bytes()).hexdigest(),
+            digest,
         ),
         "method": result.method,
         "matched_start": result.matched_start,
@@ -271,7 +279,7 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "generate":
             return _run_generate(args)
-        return _run_forecast(args, holdout=(args.subcommand == "backtest" or args.holdout))
+        return _run_forecast(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 1

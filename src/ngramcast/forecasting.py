@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SeriesTooShort, WindowTooSmall
+from .errors import NgramcastError, SeriesTooShort, WindowTooSmall
 from .matching import SimilarityCriterion, find_best_match
 from .series import TimeSeries, fit_linear_trend, quantize
 
@@ -154,6 +154,11 @@ def forecast(series: TimeSeries, config: ForecastConfig) -> Forecast:
         trend_query = fit_linear_trend(qv[qv.size - n :])
         positions = np.arange(n + 1, n + p + 1)
         values = values - trend_cand.at(positions) + trend_query.at(positions)
+        if not np.isfinite(values).all():
+            raise NgramcastError(
+                f"values up to {np.abs(qv).max():g} are too large for the linear trend:"
+                " its fit or its transfer overflows float64"
+            )
     return Forecast(
         tuple(values),
         matched_start=match.start,
@@ -185,4 +190,9 @@ def forecast_holt(series: TimeSeries, holt: HoltConfig, horizon: int) -> Forecas
         level = (1.0 - xi) * value + xi * (level + trend)
         trend = (1.0 - phi) * (level - prev) + phi * trend
     values = tuple(level + j * trend for j in range(1, horizon + 1))
+    if not all(map(math.isfinite, values)):
+        raise NgramcastError(
+            f"values up to {max(map(abs, x)):g} are too large for Holt smoothing:"
+            " the level and trend overflow float64"
+        )
     return Forecast(values, matched_start=0, score=0.0, method="holt", config=holt)

@@ -1,9 +1,9 @@
-"""Sliding-window phrase search: enumerate candidates, score them, pick the best.
+"""Sliding-window phrase search: score every candidate against the query, keep the best.
 
 A candidate is any historical window of length N whose P-step follower lies
-fully inside observed history. The query phrase is always the last N values.
-Search is an exhaustive linear scan; at desk scale that keeps correctness
-trivially auditable.
+fully inside observed history, so its 1-based start runs 1..K-N-P+1. The query
+phrase, the last N values, is prepared once and compared with every candidate
+in one exhaustive scan.
 """
 
 from __future__ import annotations
@@ -32,48 +32,6 @@ class SimilarityCriterion(enum.Enum):
 class WindowMatch:
     start: int  # 1-based position of the candidate window's first element
     score: float
-    criterion: SimilarityCriterion
-
-
-def enumerate_candidates(series_length: int, window: int, horizon: int) -> range:
-    """All admissible 1-based start indices, increasing.
-
-    A start s is admissible when the window and its horizon-length follower
-    both fit in history: 1 <= s <= K - N - P + 1. Requires K >= N + P + 1 so
-    at least one candidate exists apart from the query itself.
-    """
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    minimum = window + horizon + 1
-    if series_length < minimum:
-        raise SeriesTooShort(series_length, minimum)
-    return range(1, series_length - window - horizon + 2)
-
-
-def score_window(
-    query,
-    candidate,
-    criterion: SimilarityCriterion,
-    detrend_mode: bool = False,
-) -> float:
-    """Score one candidate against the query under the chosen criterion.
-
-    With detrend_mode, both windows are independently detrended (own
-    least-squares line over local positions) before scoring. Raises
-    UndefinedCorrelation for zero-variance windows under CORRELATION.
-    """
-    q = np.asarray(query, dtype=np.float64)
-    c = np.asarray(candidate, dtype=np.float64)
-    if q.size != c.size:
-        raise ValueError(f"length mismatch: {q.size} vs {c.size}")
-    if detrend_mode:
-        q = detrend(q, fit_linear_trend(q))
-        c = detrend(c, fit_linear_trend(c))
-    if criterion is SimilarityCriterion.DIFFERENCE:
-        return float(np.abs(q - c).sum())
-    return pearson(q, c)
 
 
 def find_best_match(
@@ -85,32 +43,42 @@ def find_best_match(
 ) -> WindowMatch:
     """Best-scoring candidate; ties go to the most recent (largest) start.
 
-    Under CORRELATION, candidates whose score is undefined are skipped;
-    NoValidCandidate is raised if none survive.
+    Requires K >= N + P + 1, so at least one candidate exists apart from the
+    query itself. With detrend_mode, the query and every candidate are
+    independently detrended (own least-squares line over local positions)
+    before scoring. Under CORRELATION, candidates with a zero-variance window
+    have no score and are skipped; NoValidCandidate is raised if none survive.
     """
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     values = series.values
     k = values.size
-    starts = enumerate_candidates(k, window, horizon)
+    minimum = window + horizon + 1
+    if k < minimum:
+        raise SeriesTooShort(k, minimum)
     query = values[k - window :]
+    if detrend_mode:
+        query = detrend(query, fit_linear_trend(query))
+    difference = criterion is SimilarityCriterion.DIFFERENCE
 
-    best_start = None
-    best_score = None
-    for s in starts:
+    best_start = best_score = None
+    for s in range(1, k - window - horizon + 2):
         candidate = values[s - 1 : s - 1 + window]
-        try:
-            score = score_window(query, candidate, criterion, detrend_mode)
-        except UndefinedCorrelation:
-            continue
-        if best_score is None:
-            best_start, best_score = s, score
-        elif criterion is SimilarityCriterion.DIFFERENCE:
-            if score <= best_score:
-                best_start, best_score = s, score
+        if detrend_mode:
+            candidate = detrend(candidate, fit_linear_trend(candidate))
+        if difference:
+            score = float(np.abs(query - candidate).sum())
         else:
-            if score >= best_score:
-                best_start, best_score = s, score
+            try:
+                score = pearson(query, candidate)
+            except UndefinedCorrelation:
+                continue
+        if best_score is None or (score <= best_score if difference else score >= best_score):
+            best_start, best_score = s, score
     if best_start is None:
         raise NoValidCandidate(
             "every candidate window was excluded under the correlation criterion"
         )
-    return WindowMatch(best_start, best_score, criterion)
+    return WindowMatch(best_start, best_score)

@@ -64,6 +64,11 @@ class QuantizationGrid:
             raise DegenerateRange(
                 f"value range [{self.min}, {self.max}] is too wide: max - min overflows float64"
             )
+        if step == 0.0:
+            raise DegenerateRange(
+                f"value range [{self.min}, {self.max}] is too narrow for {self.levels} levels:"
+                " the grid step underflows float64"
+            )
         object.__setattr__(self, "step", step)
 
     def snap(self, values: np.ndarray) -> np.ndarray:
@@ -145,5 +150,8 @@ def pearson(a, b) -> float:
     ssy = float(dy @ dy)
     if ssx == 0.0 or ssy == 0.0:
         raise UndefinedCorrelation("zero variance in input sequence")
-    r = float(dx @ dy) / math.sqrt(ssx * ssy)
+    norm = math.sqrt(ssx * ssy)
+    if norm == 0.0:  # the product underflows although neither sum is 0
+        norm = math.sqrt(ssx) * math.sqrt(ssy)
+    r = float(dx @ dy) / norm
     return max(-1.0, min(1.0, r))

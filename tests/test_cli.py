@@ -167,20 +167,49 @@ class TestForecastCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith(expected)
 
-    def test_too_wide_range_is_one_line_error(self, tmp_path):
-        # max - min overflows float64; -W error turns any stray warning into a failure
+    @pytest.mark.parametrize("rows, flags, message", [
+        # max - min overflows float64
+        (["1e308", "-1e308", "0"] * 20, [],
+         "value range [-1e+308, 1e+308] is too wide: max - min overflows float64"),
+        # the least-squares sums of the linear trend overflow float64
+        ([repr(1e306 * k) for k in range(1, 61)], ["--trend", "linear"],
+         "values up to 6e+307 are too large for the linear trend:"
+         " its fit or its transfer overflows float64"),
+    ], ids=["range", "linear-trend"])
+    def test_too_large_values_are_one_line_error(self, tmp_path, rows, flags, message):
+        # -W error turns any stray warning into a failure
         path = tmp_path / "wide.csv"
-        path.write_text("\n".join(["1e308", "-1e308", "0"] * 20) + "\n")
+        path.write_text("\n".join(rows) + "\n")
         env = dict(os.environ, PYTHONPATH=str(Path(ngramcast.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "ngramcast.cli", "forecast",
-             "--input", str(path), "--horizon", "5"],
+             "--input", str(path), "--horizon", "5", *flags],
             capture_output=True, text=True, env=env, check=False,
         )
         assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [
-            "error: value range [-1e+308, 1e+308] is too wide: max - min overflows float64"
-        ]
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+
+    def test_holdout_flag_is_gone(self, fig2_csv, capsys):
+        # backtest is the one way to score against the held-out tail
+        rc = main(["forecast", "--input", str(fig2_csv), "--horizon", "20", "--holdout"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ngramcast ")
+        assert err.endswith("error: unrecognized arguments: --holdout\n")
+
+    def test_input_is_read_once(self, fig2_csv, tmp_path, monkeypatch):
+        # the manifest hashes the same bytes that were parsed
+        reads = []
+        for name in ("read_bytes", "read_text"):
+            def counted(self, *args, _read=getattr(Path, name), **kwargs):
+                if self == fig2_csv:
+                    reads.append(_read.__name__)
+                return _read(self, *args, **kwargs)
+            monkeypatch.setattr(Path, name, counted)
+        rc = main(["forecast", "--input", str(fig2_csv), "--horizon", "20",
+                   "--report", str(tmp_path / "report.json")])
+        assert rc == 0
+        assert len(reads) == 1
 
     def test_unknown_flag_fails_fast(self, fig2_csv, tmp_path, capsys):
         out = tmp_path / "fc.csv"

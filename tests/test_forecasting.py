@@ -1,5 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from ngramcast import (
     ForecastConfig,
@@ -10,7 +15,7 @@ from ngramcast import (
     forecast,
     forecast_holt,
 )
-from ngramcast.errors import NoValidCandidate, SeriesTooShort, WindowTooSmall
+from ngramcast.errors import NgramcastError, NoValidCandidate, SeriesTooShort, WindowTooSmall
 from ngramcast.evaluation import GeneratorSpec, clean_values, generate
 from ngramcast.forecasting import derive_window_length, validate_multiplier
 from ngramcast.series import quantize
@@ -178,6 +183,12 @@ class TestLinguoCorrelation:
             == "linguo-correlation"
         )
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_trend_is_a_library_error(self):
+        series = TimeSeries(1e306 * np.arange(1, 61))
+        with pytest.raises(NgramcastError, match="^values up to 6e\\+307 are too large for the linear"):
+            forecast(series, ForecastConfig(horizon=20, trend_mode=TrendMode.LINEAR))
+
 
 class TestHolt:
     def test_constant_series(self):
@@ -204,8 +215,52 @@ class TestHolt:
         with pytest.raises(SeriesTooShort):
             forecast_holt(TimeSeries(np.array([1.0])), HoltConfig(), 3)
 
+    def test_overflow_is_a_library_error(self):
+        series = TimeSeries(1e308 * np.array([1.0, -1.5] * 10))
+        with pytest.raises(NgramcastError, match="^values up to 1.5e\\+308 are too large for Holt"):
+            forecast_holt(series, HoltConfig(), 5)
+
     def test_coefficient_bounds(self):
         with pytest.raises(ValueError):
             HoltConfig(xi=1.5)
         with pytest.raises(ValueError):
             HoltConfig(phi=-0.1)
+
+
+SHAPES = st.one_of(
+    st.lists(st.floats(-1, 1), min_size=1, max_size=60),
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=60),
+    st.integers(1, 60).map(lambda k: [float(i) for i in range(1, k + 1)]),
+)
+# value scales from subnormal to near the float64 limit, the extremes drawn often
+EXPONENTS = st.integers(-320, 307) | st.sampled_from([-320, -160, 306, 307])
+MODES = [(c, t) for c in SimilarityCriterion for t in TrendMode] + ["holt"]
+
+
+@seed(20221019)
+@settings(max_examples=400, deadline=None, database=None)
+@given(shape=SHAPES, exponent=EXPONENTS, mode=st.sampled_from(MODES),
+       horizon=st.integers(1, 12), window=st.none() | st.integers(2, 12),
+       multiplier=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 5.0]),
+       levels=st.integers(1, 10**6) | st.integers(1, 64),
+       smoothing=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+def test_forecast_is_finite_or_library_error(shape, exponent, mode, horizon, window, multiplier,
+                                             levels, smoothing):
+    """Any scale, length, horizon, window and levels: a finite forecast or an NgramcastError."""
+    with np.errstate(over="ignore"):
+        values = np.array(shape) * 10.0**exponent
+    assume(np.isfinite(values).all())
+    series = TimeSeries(values)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy overflow notes, the constant-series note
+            if mode == "holt":
+                result = forecast_holt(series, HoltConfig(*smoothing), horizon)
+            else:
+                result = forecast(series, ForecastConfig(
+                    horizon, multiplier, levels, criterion=mode[0], trend_mode=mode[1],
+                    window=window))
+    except NgramcastError:
+        return
+    assert len(result.values) == horizon
+    assert all(math.isfinite(v) for v in result.values)

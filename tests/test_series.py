@@ -104,6 +104,11 @@ class TestQuantize:
         with pytest.raises(InvalidLevels):
             quantize(TimeSeries(np.array([1.0, 2.0])), 0)
 
+    def test_step_underflow(self):
+        # a subnormal range split into 1012 levels has a step of 0 in float64
+        with pytest.raises(DegenerateRange, match="too narrow for 1012 levels"):
+            quantize(TimeSeries(np.array([0.0, 2.5e-321])), 1012)
+
 
 class TestLinearTrend:
     def test_exact_line(self):
@@ -194,6 +199,13 @@ class TestPearson:
             c, d = rng.uniform(0.1, 3), rng.uniform(-4, 4)
             assert pearson(a, c * b + d) == pytest.approx(r, abs=1e-9)
             assert pearson(a, -c * b + d) == pytest.approx(-r, abs=1e-9)
+
+    def test_tiny_scale_against_oracle(self):
+        # both sums of squares are about 1e-200, so their product underflows to 0
+        a, b = [1, 2, 3, 4], [1, 2, 3, 5]
+        expected = pearson_oracle(a, b)
+        assert pearson(np.array(a) * 1e-100, np.array(b) * 1e-100) == pytest.approx(
+            expected, abs=1e-12)
 
     def test_zero_variance(self):
         with pytest.raises(UndefinedCorrelation):
