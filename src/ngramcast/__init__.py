@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .errors import NgramcastError
 from .evaluation import BacktestReport, GeneratorSpec, generate, holdout_backtest
-from .forecasting import Forecast, ForecastConfig, HoltConfig, TrendMode, forecast, forecast_holt
+from .forecasting import Forecast, ForecastConfig, HoltConfig, TrendMode, forecast
 from .matching import SimilarityCriterion
 from .series import TimeSeries
 
@@ -25,7 +25,6 @@ __all__ = [
     "TimeSeries",
     "TrendMode",
     "forecast",
-    "forecast_holt",
     "generate",
     "holdout_backtest",
 ]

@@ -29,14 +29,7 @@ from .evaluation import (
     generate,
     holdout_backtest,
 )
-from .forecasting import (
-    ForecastConfig,
-    HoltConfig,
-    TrendMode,
-    forecast,
-    forecast_holt,
-    validate_multiplier,
-)
+from .forecasting import ForecastConfig, HoltConfig, TrendMode, forecast, validate_multiplier
 from .matching import SimilarityCriterion
 from .series import TimeSeries
 
@@ -181,7 +174,7 @@ def _run_forecast(args) -> int:
         mult_ok, mult_msg = validate_multiplier(horizon, args.multiplier)
 
         if args.method == "holt":
-            config = HoltConfig(args.xi, args.phi)
+            config = HoltConfig(horizon, args.xi, args.phi)
         else:
             config = ForecastConfig(
                 horizon=horizon,
@@ -192,15 +185,14 @@ def _run_forecast(args) -> int:
                 window=args.window,
             )
         if holdout:
-            backtest, result = holdout_backtest(series, config, horizon)
-        elif args.method == "holt":
-            result = forecast_holt(series, config, horizon)
+            backtest, result = holdout_backtest(series, config)
         else:
             result = forecast(series, config)
 
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
-    if not mult_ok:
+    # warn only where the multiplier sets the window length; the report keeps the check
+    if not mult_ok and isinstance(config, ForecastConfig) and config.window is None:
         print(f"warning: {mult_msg}", file=sys.stderr)
 
     first_index = len(series) - horizon + 1 if holdout else len(series) + 1
@@ -232,13 +224,7 @@ def _run_forecast(args) -> int:
         "forecast": {"first_index": first_index, "values": list(result.values)},
     }
     if holdout:
-        report["metrics"] = {
-            "mae": backtest.mae,
-            "rmse": backtest.rmse,
-            "mape": backtest.mape,
-            "mape_skipped": backtest.mape_skipped,
-            "correlation": backtest.correlation,
-        }
+        report["metrics"] = dataclasses.asdict(backtest)
     payload = json.dumps(report, indent=2)
     if args.report:
         Path(args.report).write_text(payload + "\n", encoding="utf-8")

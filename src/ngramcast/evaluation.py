@@ -1,5 +1,9 @@
 """Synthetic series generators and holdout backtesting with standard error metrics.
 
+holdout_backtest(series, config) forecasts the config's horizon P from all
+but the last P values, whichever method the config picks, and scores the
+forecast against them; error_metrics returns the same BacktestReport.
+
 Noise reproducibility: perturbations come from a splitmix64 stepper (constants
 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, shifts 30/27/31)
 mapped to uniforms in [-half_width, half_width], so any implementation of those
@@ -13,12 +17,12 @@ stepper's output after i steps, computed for all i at once in uint64 (mod 2^64):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientPoints, SeriesTooShort, UndefinedCorrelation
-from .forecasting import Forecast, ForecastConfig, HoltConfig, forecast, forecast_holt
+from .forecasting import Forecast, ForecastConfig, HoltConfig, forecast
 from .series import TimeSeries, pearson
 
 SINUSOID = "sinusoid"
@@ -94,14 +98,13 @@ def generate(spec: GeneratorSpec) -> TimeSeries:
 
 @dataclass(frozen=True)
 class BacktestReport:
+    """Error metrics of a forecast against the actual values."""
+
     mae: float
     rmse: float
     mape: float | None  # percent; None when every actual is 0
     mape_skipped: int  # actuals equal to 0, excluded from MAPE
     correlation: float | None  # None for one point, or when forecast or actual is constant
-    horizon: int
-    method: str
-    config: object
 
     def __post_init__(self):
         # a constant error makes MAE equal RMSE, so allow rounding relative to scale
@@ -109,8 +112,8 @@ class BacktestReport:
             raise ValueError("MAE cannot exceed RMSE")
 
 
-def error_metrics(predicted, actual) -> tuple[float, float, float | None, int, float | None]:
-    """(mae, rmse, mape, mape_skipped, correlation) of two equal-length sequences."""
+def error_metrics(predicted, actual) -> BacktestReport:
+    """MAE, RMSE, MAPE and correlation of two equal-length sequences."""
     f = np.asarray(predicted, dtype=np.float64)
     a = np.asarray(actual, dtype=np.float64)
     if f.size != a.size:
@@ -128,36 +131,19 @@ def error_metrics(predicted, actual) -> tuple[float, float, float | None, int, f
         corr = pearson(f, a)
     except (InsufficientPoints, UndefinedCorrelation):
         corr = None
-    return mae, rmse, mape, skipped, corr
+    return BacktestReport(mae, rmse, mape, skipped, corr)
 
 
-def holdout_backtest(series: TimeSeries, config, horizon: int) -> tuple[BacktestReport, Forecast]:
-    """Hold out the last P values, forecast them from the prefix, score the error.
+def holdout_backtest(
+    series: TimeSeries, config: ForecastConfig | HoltConfig
+) -> tuple[BacktestReport, Forecast]:
+    """Hold out the last config.horizon values, forecast them from the prefix, score the error.
 
-    config selects the method: a HoltConfig runs the Holt baseline, a
-    ForecastConfig runs the phrase method its trend_mode selects. The method
-    only ever sees the training prefix.
+    The method only ever sees the training prefix.
     """
     values = series.values
+    horizon = config.horizon
     if values.size <= horizon:
         raise SeriesTooShort(values.size, horizon + 1)
-    train = TimeSeries(values[: values.size - horizon])
-    actual = values[values.size - horizon :]
-    if isinstance(config, HoltConfig):
-        result = forecast_holt(train, config, horizon)
-    else:
-        if config.horizon != horizon:
-            config = replace(config, horizon=horizon)
-        result = forecast(train, config)
-    mae, rmse, mape, skipped, corr = error_metrics(result.values, actual)
-    report = BacktestReport(
-        mae=mae,
-        rmse=rmse,
-        mape=mape,
-        mape_skipped=skipped,
-        correlation=corr,
-        horizon=horizon,
-        method=result.method,
-        config=config,
-    )
-    return report, result
+    result = forecast(TimeSeries(values[: values.size - horizon]), config)
+    return error_metrics(result.values, values[values.size - horizon :]), result

@@ -1,10 +1,12 @@
-"""Forecasting: the phrase-matching pipeline and the Holt baseline.
+"""Forecasting: one call, forecast(series, config), for the phrase method and the Holt baseline.
 
-Pipeline order for the phrase method: the raw series is quantized once
-globally, then windows are detrended individually at comparison time when
-trend_mode is LINEAR. That mode also transfers the query window's local trend
-onto the matched follower: the candidate's own extrapolated trend is
-subtracted first so it is not double-counted.
+The config's type picks the method and carries the horizon: a ForecastConfig
+runs the phrase method, a HoltConfig the Holt baseline. Pipeline order for
+the phrase method: the raw series is quantized once globally, then windows
+are detrended individually at comparison time when trend_mode is LINEAR.
+That mode also transfers the query window's local trend onto the matched
+follower: the candidate's own extrapolated trend is subtracted first so it is
+not double-counted.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ class TrendMode(enum.Enum):
 class ForecastConfig:
     """User-facing parameters for the phrase-matching methods.
 
-    Window length N is derived as ceil(multiplier * horizon) unless an explicit
-    window is given.
+    Window length N (window_length) is ceil(multiplier * horizon), an exact
+    product not rounded up, unless an explicit window is given.
     """
 
     horizon: int
@@ -55,13 +57,20 @@ class ForecastConfig:
             if self.window < 2:
                 raise WindowTooSmall(f"window must be >= 2, got {self.window}")
             return self.window
-        return derive_window_length(self.horizon, self.multiplier)
+        n = math.ceil(self.multiplier * self.horizon)
+        if n < 2:
+            raise WindowTooSmall(
+                f"derived window length {n} is below 2"
+                f" (horizon={self.horizon}, multiplier={self.multiplier})"
+            )
+        return n
 
 
 @dataclass(frozen=True)
 class HoltConfig:
-    """Double exponential smoothing coefficients, both in [0, 1]."""
+    """Forecast horizon P and the double exponential smoothing coefficients, both in [0, 1]."""
 
+    horizon: int
     xi: float = 0.5  # value smoothing
     phi: float = 0.5  # trend smoothing
 
@@ -70,6 +79,8 @@ class HoltConfig:
             raise ValueError(f"xi must be in [0, 1], got {self.xi}")
         if not 0.0 <= self.phi <= 1.0:
             raise ValueError(f"phi must be in [0, 1], got {self.phi}")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -84,27 +95,12 @@ class Forecast:
     matched_start: int
     score: float
     method: str
-    config: object
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("forecast values must all be finite")
         object.__setattr__(self, "values", vals)
-
-
-def derive_window_length(horizon: int, multiplier: float) -> int:
-    """N = ceil(multiplier * horizon); exact products are not rounded up."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if multiplier <= 0:
-        raise ValueError(f"multiplier must be > 0, got {multiplier}")
-    n = math.ceil(multiplier * horizon)
-    if n < 2:
-        raise WindowTooSmall(
-            f"derived window length {n} is below 2 (horizon={horizon}, multiplier={multiplier})"
-        )
-    return n
 
 
 def validate_multiplier(horizon: int, multiplier: float) -> tuple[bool, str]:
@@ -125,14 +121,17 @@ def validate_multiplier(horizon: int, multiplier: float) -> tuple[bool, str]:
     )
 
 
-def forecast(series: TimeSeries, config: ForecastConfig) -> Forecast:
-    """Quantize, find the best-matching phrase, copy its follower.
+def forecast(series: TimeSeries, config: ForecastConfig | HoltConfig) -> Forecast:
+    """The next config.horizon values; a HoltConfig runs forecast_holt.
 
-    Under TrendMode.LINEAR the windows are matched detrended and the query's
-    trend is transferred onto the follower:
+    The phrase method quantizes, finds the best-matching phrase and copies its
+    follower. Under TrendMode.LINEAR the windows are matched detrended and the
+    query's trend is transferred onto the follower:
     forecast[j] = follower[j] - T_cand(N+j) + T_query(N+j), with both trends
     fitted over local positions 1..N of the quantized windows.
     """
+    if isinstance(config, HoltConfig):
+        return forecast_holt(series, config)
     linear = config.trend_mode is TrendMode.LINEAR
     method = "linguo-correlation" if linear else "linguistic"
     p = config.horizon
@@ -142,7 +141,7 @@ def forecast(series: TimeSeries, config: ForecastConfig) -> Forecast:
             stacklevel=2,
         )
         c = float(series.values[0])
-        return Forecast((c,) * p, matched_start=0, score=0.0, method=method, config=config)
+        return Forecast((c,) * p, matched_start=0, score=0.0, method=method)
     n = config.window_length
     quantized, _ = quantize(series, config.levels)
     match = find_best_match(quantized, n, p, config.criterion, detrend_mode=linear)
@@ -159,16 +158,10 @@ def forecast(series: TimeSeries, config: ForecastConfig) -> Forecast:
                 f"values up to {np.abs(qv).max():g} are too large for the linear trend:"
                 " its fit or its transfer overflows float64"
             )
-    return Forecast(
-        tuple(values),
-        matched_start=match.start,
-        score=match.score,
-        method=method,
-        config=config,
-    )
+    return Forecast(tuple(values), matched_start=match.start, score=match.score, method=method)
 
 
-def forecast_holt(series: TimeSeries, holt: HoltConfig, horizon: int) -> Forecast:
+def forecast_holt(series: TimeSeries, config: HoltConfig) -> Forecast:
     """Double exponential smoothing baseline.
 
     Recurrences for k = 2..K with x1_hat = x_1, t1_hat = x_2 - x_1:
@@ -177,22 +170,20 @@ def forecast_holt(series: TimeSeries, holt: HoltConfig, horizon: int) -> Forecas
     Forecast trajectory: x_hat_K + j * t_hat_K for j = 1..P. Exact on lines
     for any xi, phi under this initialization.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     x = series.values.tolist()
     if len(x) < 2:
         raise SeriesTooShort(len(x), 2)
-    xi, phi = holt.xi, holt.phi
+    xi, phi = config.xi, config.phi
     level = x[0]
     trend = x[1] - x[0]
     for value in x[1:]:
         prev = level
         level = (1.0 - xi) * value + xi * (level + trend)
         trend = (1.0 - phi) * (level - prev) + phi * trend
-    values = tuple(level + j * trend for j in range(1, horizon + 1))
+    values = tuple(level + j * trend for j in range(1, config.horizon + 1))
     if not all(map(math.isfinite, values)):
         raise NgramcastError(
             f"values up to {max(map(abs, x)):g} are too large for Holt smoothing:"
             " the level and trend overflow float64"
         )
-    return Forecast(values, matched_start=0, score=0.0, method="holt", config=holt)
+    return Forecast(values, matched_start=0, score=0.0, method="holt")

@@ -9,7 +9,7 @@ from windows at different offsets are directly comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .errors import (
     InvalidLevels,
     UndefinedCorrelation,
 )
+
+_TINY = 2.0**-1022  # the smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -47,37 +49,12 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class QuantizationGrid:
-    """S+1 evenly spaced levels spanning the observed value range inclusive."""
+    """S+1 evenly spaced levels, step apart, spanning the observed value range inclusive."""
 
     min: float
     max: float
     levels: int
-    step: float = field(init=False)
-
-    def __post_init__(self):
-        if self.levels < 1:
-            raise InvalidLevels(f"levels must be >= 1, got {self.levels}")
-        if not self.max > self.min:
-            raise DegenerateRange(f"max ({self.max}) must exceed min ({self.min})")
-        step = (self.max - self.min) / self.levels
-        if not math.isfinite(step):
-            raise DegenerateRange(
-                f"value range [{self.min}, {self.max}] is too wide: max - min overflows float64"
-            )
-        if step == 0.0:
-            raise DegenerateRange(
-                f"value range [{self.min}, {self.max}] is too narrow for {self.levels} levels:"
-                " the grid step underflows float64"
-            )
-        object.__setattr__(self, "step", step)
-
-    def snap(self, values: np.ndarray) -> np.ndarray:
-        """Round each value to the nearest grid point; exact midpoints go up."""
-        idx = np.floor((np.asarray(values, dtype=np.float64) - self.min) / self.step + 0.5)
-        idx = np.clip(idx, 0, self.levels)
-        out = self.min + idx * self.step
-        # min + levels*step can drift from max by one ulp; pin the endpoint
-        return np.where(idx == self.levels, self.max, out)
+    step: float
 
 
 @dataclass(frozen=True)
@@ -96,8 +73,8 @@ class LinearTrend:
 def quantize(series: TimeSeries, levels: int) -> tuple[TimeSeries, QuantizationGrid]:
     """Map every value to the nearest of levels+1 grid points over [min, max].
 
-    The grid is built from the series' own min and max, so those two values
-    map to themselves exactly.
+    Exact midpoints go up. The grid is built from the series' own min and
+    max, so those two values map to themselves exactly.
     """
     if levels < 1:
         raise InvalidLevels(f"levels must be >= 1, got {levels}")
@@ -105,8 +82,22 @@ def quantize(series: TimeSeries, levels: int) -> tuple[TimeSeries, QuantizationG
     vmax = float(series.values.max())
     if vmax == vmin:
         raise DegenerateRange("constant series: quantization grid is undefined")
-    grid = QuantizationGrid(vmin, vmax, levels)
-    return TimeSeries(grid.snap(series.values)), grid
+    step = (vmax - vmin) / levels
+    if not math.isfinite(step):
+        raise DegenerateRange(
+            f"value range [{vmin}, {vmax}] is too wide: max - min overflows float64"
+        )
+    if step == 0.0:
+        raise DegenerateRange(
+            f"value range [{vmin}, {vmax}] is too narrow for {levels} levels:"
+            " the grid step underflows float64"
+        )
+    idx = np.floor((series.values - vmin) / step + 0.5)
+    idx = np.clip(idx, 0, levels)
+    out = vmin + idx * step
+    # vmin + levels*step can drift from vmax by one ulp; pin the endpoint
+    out = np.where(idx == levels, vmax, out)
+    return TimeSeries(out), QuantizationGrid(vmin, vmax, levels, step)
 
 
 def fit_linear_trend(window) -> LinearTrend:
@@ -136,7 +127,10 @@ def detrend(window, trend: LinearTrend) -> np.ndarray:
 def pearson(a, b) -> float:
     """Sample Pearson correlation of two equal-length sequences, clamped to [-1, 1].
 
-    Raises UndefinedCorrelation when either sequence has zero variance.
+    Raises UndefinedCorrelation when either sequence has zero variance, that
+    is when its deviations from its mean are exactly all 0. Any finite scale
+    gives the same r: an exact scaling of an input by a power of two leaves
+    every bit of r as it is.
     """
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
@@ -148,10 +142,15 @@ def pearson(a, b) -> float:
     dy = y - y.mean()
     ssx = float(dx @ dx)
     ssy = float(dy @ dy)
-    if ssx == 0.0 or ssy == 0.0:
-        raise UndefinedCorrelation("zero variance in input sequence")
-    norm = math.sqrt(ssx * ssy)
-    if norm == 0.0:  # the product underflows although neither sum is 0
-        norm = math.sqrt(ssx) * math.sqrt(ssy)
-    r = float(dx @ dy) / norm
+    if not (ssx >= _TINY and ssy >= _TINY and _TINY <= ssx * ssy < math.inf):
+        # A sum or their product overflows or is not a normal float (0 included).
+        # Unless an input's deviations are all 0, scale each input by the power of two
+        # that puts its largest magnitude in [0.5, 1): that is exact and leaves r as it
+        # is, and each sum is then between 2^-108 and 4n, so it takes the path below.
+        if not (dx.any() and dy.any()):
+            raise UndefinedCorrelation("zero variance in input sequence")
+        ex, ey = (math.frexp(np.abs(v).max())[1] for v in (x, y))
+        if ex or ey:  # both are 0 only for an inf or nan input, which no scale mends
+            return pearson(np.ldexp(x, -ex), np.ldexp(y, -ey))
+    r = float(dx @ dy) / math.sqrt(ssx * ssy)
     return max(-1.0, min(1.0, r))

@@ -16,11 +16,11 @@ from ngramcast import (
     TimeSeries,
     TrendMode,
     forecast,
-    forecast_holt,
     generate,
 )
 from ngramcast.cli import ingest_csv, main
 from ngramcast.evaluation import clean_values
+from ngramcast.forecasting import forecast_holt
 from ngramcast.matching import find_best_match
 from ngramcast.series import detrend, fit_linear_trend, pearson, quantize
 
@@ -108,14 +108,14 @@ def test_criterion_5_nonlinear_trend_beats_holt():
     for xi in grid:
         for phi in grid:
             holt_rmse = rmse(
-                forecast_holt(series, HoltConfig(xi, phi), 20).values, continuation_20
+                forecast_holt(series, HoltConfig(20, xi, phi)).values, continuation_20
             )
             assert linguistic_rmse < holt_rmse, (xi, phi)
 
     # short horizon: Holt usable with suitably chosen coefficients
     continuation_5 = clean_values(spec, np.arange(101, 106))
     best_short = min(
-        rmse(forecast_holt(series, HoltConfig(xi, phi), 5).values, continuation_5)
+        rmse(forecast_holt(series, HoltConfig(5, xi, phi)).values, continuation_5)
         for xi in grid
         for phi in grid
     )
@@ -194,7 +194,7 @@ def test_criterion_7_numerical_properties():
     expected = 2.5 * np.arange(16, 21) - 4.0
     for xi in (0, 0.25, 0.5, 0.75, 1):
         for phi in (0, 0.25, 0.5, 0.75, 1):
-            result = forecast_holt(series, HoltConfig(xi, phi), 5)
+            result = forecast_holt(series, HoltConfig(5, xi, phi))
             assert np.allclose(result.values, expected, atol=1e-9)
 
     report("criterion 7: numerical property suite (quantize/pearson/regression/Holt)")

@@ -140,11 +140,21 @@ class TestForecastCommand:
         path = tmp_path / "s.csv"
         main(["generate", "--length", "100", "--output", str(path)])
         rc = main(
-            ["forecast", "--input", str(path), "--horizon", "3",
-             "--multiplier", "1", "--window", "6"]
+            ["forecast", "--input", str(path), "--horizon", "3", "--multiplier", "1"]
         )
         assert rc == 0
         assert "(2, 5]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--method", "holt", "--horizon", "3"],
+                                       ["--horizon", "2", "--window", "4"]])
+    def test_unused_multiplier_gives_no_warning(self, tmp_path, capsys, flags):
+        # the multiplier sets no window length here, so its advisory range does not apply
+        path = tmp_path / "s.csv"
+        main(["generate", "--length", "100", "--output", str(path)])
+        capsys.readouterr()
+        rc = main(["forecast", "--input", str(path), "--multiplier", "1", *flags])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["forecast", "--input", str(tmp_path / "x.csv"), "--horizon", "5"])

@@ -87,33 +87,32 @@ class TestGenerator:
 
 class TestMetrics:
     def test_perfect_forecast(self):
-        mae, rmse, mape, skipped, corr = error_metrics([1, 2, 3], [1, 2, 3])
-        assert (mae, rmse, mape, skipped) == (0.0, 0.0, 0.0, 0)
-        assert corr == pytest.approx(1.0)
+        m = error_metrics([1, 2, 3], [1, 2, 3])
+        assert (m.mae, m.rmse, m.mape, m.mape_skipped) == (0.0, 0.0, 0.0, 0)
+        assert m.correlation == pytest.approx(1.0)
 
     def test_constant_offset(self):
-        mae, rmse, mape, skipped, corr = error_metrics([2, 3, 4], [1, 2, 3])
-        assert mae == 1.0
-        assert rmse == 1.0
-        assert corr == pytest.approx(1.0)
+        m = error_metrics([2, 3, 4], [1, 2, 3])
+        assert m.mae == 1.0
+        assert m.rmse == 1.0
+        assert m.correlation == pytest.approx(1.0)
 
     def test_mape_skips_zero_actuals(self):
-        mae, rmse, mape, skipped, corr = error_metrics([1, 1, 2], [0, 1, 1])
-        assert skipped == 1
-        assert mape == pytest.approx(50.0)
+        m = error_metrics([1, 1, 2], [0, 1, 1])
+        assert m.mape_skipped == 1
+        assert m.mape == pytest.approx(50.0)
 
     def test_mape_none_when_all_zero(self):
-        _, _, mape, skipped, _ = error_metrics([1, 2], [0, 0])
-        assert mape is None
-        assert skipped == 2
+        m = error_metrics([1, 2], [0, 0])
+        assert m.mape is None
+        assert m.mape_skipped == 2
 
     def test_correlation_none_when_constant(self):
-        _, _, _, _, corr = error_metrics([1, 1, 1], [1, 2, 3])
-        assert corr is None
+        assert error_metrics([1, 1, 1], [1, 2, 3]).correlation is None
 
     def test_correlation_none_for_one_point(self):
-        mae, rmse, mape, skipped, corr = error_metrics([1.5], [2.0])
-        assert (mae, rmse, mape, skipped, corr) == (0.5, 0.5, 25.0, 0, None)
+        m = error_metrics([1.5], [2.0])
+        assert (m.mae, m.rmse, m.mape, m.mape_skipped, m.correlation) == (0.5, 0.5, 25.0, 0, None)
 
     def test_mae_never_exceeds_rmse(self):
         rng = np.random.RandomState(30)
@@ -121,8 +120,8 @@ class TestMetrics:
             n = rng.randint(2, 40)
             f = rng.uniform(-5, 5, size=n)
             a = rng.uniform(-5, 5, size=n)
-            mae, rmse, *_ = error_metrics(f, a)
-            assert mae <= rmse + 1e-12
+            m = error_metrics(f, a)
+            assert m.mae <= m.rmse + 1e-12
 
 
 class TestBacktest:
@@ -130,16 +129,16 @@ class TestBacktest:
         spec = GeneratorSpec(length=100)
         series = generate(spec)
         config = ForecastConfig(horizon=20, multiplier=1.0, levels=32)
-        report, result = holdout_backtest(series, config, 20)
+        report, result = holdout_backtest(series, config)
         step = (series.values[:80].max() - series.values[:80].min()) / 32
         assert report.rmse <= step / 2 + 1e-9
-        assert report.method == "linguistic"
+        assert result.method == "linguistic"
         assert len(result.values) == 20
 
     def test_holt_dispatch(self):
         series = TimeSeries(np.arange(1.0, 31.0))
-        report, result = holdout_backtest(series, HoltConfig(0.5, 0.5), 5)
-        assert report.method == "holt"
+        report, result = holdout_backtest(series, HoltConfig(5, 0.5, 0.5))
+        assert result.method == "holt"
         assert report.rmse == pytest.approx(0.0, abs=1e-9)
 
     def test_isolation_from_holdout(self):
@@ -147,12 +146,12 @@ class TestBacktest:
         spec = GeneratorSpec(length=100, noise=0.1, seed=3)
         series = generate(spec)
         config = ForecastConfig(horizon=20, multiplier=1.0, levels=32)
-        _, result = holdout_backtest(series, config, 20)
+        _, result = holdout_backtest(series, config)
         tampered = series.values.copy()
         tampered[-20:] = 99.0
-        _, result2 = holdout_backtest(TimeSeries(tampered), config, 20)
+        _, result2 = holdout_backtest(TimeSeries(tampered), config)
         assert result.values == result2.values
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
-            holdout_backtest(TimeSeries(np.arange(5.0)), HoltConfig(), 5)
+            holdout_backtest(TimeSeries(np.arange(5.0)), HoltConfig(5))

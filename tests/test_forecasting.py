@@ -13,11 +13,10 @@ from ngramcast import (
     TimeSeries,
     TrendMode,
     forecast,
-    forecast_holt,
 )
 from ngramcast.errors import NgramcastError, NoValidCandidate, SeriesTooShort, WindowTooSmall
 from ngramcast.evaluation import GeneratorSpec, clean_values, generate
-from ngramcast.forecasting import derive_window_length, validate_multiplier
+from ngramcast.forecasting import forecast_holt, validate_multiplier
 from ngramcast.series import quantize
 
 DIFF = SimilarityCriterion.DIFFERENCE
@@ -26,17 +25,17 @@ CORR = SimilarityCriterion.CORRELATION
 
 class TestWindowLength:
     def test_unit_multiplier(self):
-        assert derive_window_length(20, 1.0) == 20
+        assert ForecastConfig(20, 1.0).window_length == 20
 
     def test_rounds_up(self):
-        assert derive_window_length(3, 2.5) == 8
+        assert ForecastConfig(3, 2.5).window_length == 8
 
     def test_exact_product_not_rounded(self):
-        assert derive_window_length(10, 1.5) == 15
+        assert ForecastConfig(10, 1.5).window_length == 15
 
     def test_window_too_small(self):
         with pytest.raises(WindowTooSmall):
-            derive_window_length(1, 0.5)
+            ForecastConfig(1, 0.5).window_length
 
 
 class TestValidateMultiplier:
@@ -184,6 +183,22 @@ class TestLinguoCorrelation:
         )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("trend, exponent", [
+        *[(TrendMode.NONE, e) for e in (-1000, -560, -300, 500, 520, 1000)],
+        # every detrending step stays a normal float at these scales
+        *[(TrendMode.LINEAR, e) for e in (-560, -300, 500, 520)],
+    ])
+    def test_correlation_pick_is_scale_free(self, trend, exponent):
+        # scaling by a power of two is exact, so the pick and its score keep every bit, also
+        # where a sum of squares or their product overflows or underflows float64
+        values = generate(GeneratorSpec(length=100, noise=0.15, seed=7)).values
+        config = ForecastConfig(horizon=20, criterion=CORR, trend_mode=trend)
+        want = forecast(TimeSeries(values), config)
+        got = forecast(TimeSeries(values * 2.0**exponent), config)
+        assert got.matched_start == want.matched_start == 56
+        assert got.score.hex() == want.score.hex()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_trend_is_a_library_error(self):
         series = TimeSeries(1e306 * np.arange(1, 61))
         with pytest.raises(NgramcastError, match="^values up to 6e\\+307 are too large for the linear"):
@@ -194,37 +209,52 @@ class TestHolt:
     def test_constant_series(self):
         series = TimeSeries(np.full(10, 5.0))
         for xi in (0.0, 0.3, 1.0):
-            result = forecast_holt(series, HoltConfig(xi=xi, phi=0.4), 6)
+            result = forecast_holt(series, HoltConfig(6, xi=xi, phi=0.4))
             assert result.values == (5.0,) * 6
 
     def test_exact_on_lines(self):
         series = TimeSeries(np.arange(1.0, 13.0))
         for xi in (0, 0.25, 0.5, 0.75, 1):
             for phi in (0, 0.25, 0.5, 0.75, 1):
-                result = forecast_holt(series, HoltConfig(xi=xi, phi=phi), 4)
+                result = forecast_holt(series, HoltConfig(4, xi=xi, phi=phi))
                 assert np.allclose(result.values, [13, 14, 15, 16], atol=1e-9)
 
     def test_hand_computed_recurrence(self):
         # [1,3,2,4], xi=phi=0.5: level/trend pairs step through
         # (1,2) -> (3,2) -> (3.5,1.25) -> (4.375,1.0625)
         series = TimeSeries(np.array([1.0, 3.0, 2.0, 4.0]))
-        result = forecast_holt(series, HoltConfig(xi=0.5, phi=0.5), 2)
+        result = forecast_holt(series, HoltConfig(2, xi=0.5, phi=0.5))
         assert result.values == pytest.approx((5.4375, 6.5), abs=1e-12)
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
-            forecast_holt(TimeSeries(np.array([1.0])), HoltConfig(), 3)
+            forecast_holt(TimeSeries(np.array([1.0])), HoltConfig(3))
 
     def test_overflow_is_a_library_error(self):
         series = TimeSeries(1e308 * np.array([1.0, -1.5] * 10))
         with pytest.raises(NgramcastError, match="^values up to 1.5e\\+308 are too large for Holt"):
-            forecast_holt(series, HoltConfig(), 5)
+            forecast_holt(series, HoltConfig(5))
+
+    def test_forecast_runs_holt_for_a_holt_config(self):
+        series = generate(GeneratorSpec(length=60, noise=0.2, seed=5))
+        for horizon, xi, phi in [(1, 0.5, 0.5), (7, 0.2, 0.9), (20, 1.0, 0.0)]:
+            config = HoltConfig(horizon, xi, phi)
+            got, want = forecast(series, config), forecast_holt(series, config)
+            assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
+            assert (got.matched_start, got.score, got.method) == (0, 0.0, "holt")
 
     def test_coefficient_bounds(self):
         with pytest.raises(ValueError):
-            HoltConfig(xi=1.5)
+            HoltConfig(5, xi=1.5)
         with pytest.raises(ValueError):
-            HoltConfig(phi=-0.1)
+            HoltConfig(5, phi=-0.1)
+
+    def test_horizon_is_checked_after_the_coefficients(self):
+        # with two bad values the CLI names the same one as when the horizon was checked later
+        with pytest.raises(ValueError, match="^horizon must be >= 1, got 0$"):
+            HoltConfig(0)
+        with pytest.raises(ValueError, match="^xi must be in"):
+            HoltConfig(0, xi=2.0)
 
 
 SHAPES = st.one_of(
@@ -255,7 +285,7 @@ def test_forecast_is_finite_or_library_error(shape, exponent, mode, horizon, win
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # numpy overflow notes, the constant-series note
             if mode == "holt":
-                result = forecast_holt(series, HoltConfig(*smoothing), horizon)
+                result = forecast_holt(series, HoltConfig(horizon, *smoothing))
             else:
                 result = forecast(series, ForecastConfig(
                     horizon, multiplier, levels, criterion=mode[0], trend_mode=mode[1],

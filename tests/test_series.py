@@ -207,6 +207,19 @@ class TestPearson:
         assert pearson(np.array(a) * 1e-100, np.array(b) * 1e-100) == pytest.approx(
             expected, abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scale_against_oracle(self, scale):
+        # the sums of squares underflow to 0 or overflow to inf at these scales
+        rng = np.random.RandomState(6)
+        for _ in range(30):
+            n = rng.randint(2, 30)
+            a = rng.uniform(-5, 5, size=n) * scale
+            b = rng.uniform(-5, 5, size=n) * scale
+            # the oracle sees the same floats, divided by the scale exactly
+            expected = pearson_oracle(*([Fraction(v) / Fraction(scale) for v in w] for w in (a, b)))
+            assert pearson(a, b) == pytest.approx(expected, abs=1e-12)
+
     def test_zero_variance(self):
         with pytest.raises(UndefinedCorrelation):
             pearson([1, 1, 1], [1, 2, 3])
