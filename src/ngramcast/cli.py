@@ -21,14 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import EmptyInput, NgramcastError, ParseError
-from .evaluation import (
-    SINUSOID,
-    SINUSOID_LINEAR,
-    SINUSOID_QUADRATIC,
-    GeneratorSpec,
-    generate,
-    holdout_backtest,
-)
+from .evaluation import KINDS, GeneratorSpec, generate, holdout_backtest
 from .forecasting import ForecastConfig, HoltConfig, TrendMode, forecast, validate_multiplier
 from .matching import SimilarityCriterion
 from .series import TimeSeries
@@ -107,14 +100,16 @@ def _add_forecast_flags(parser):
     parser.add_argument("--plot-data", help="long-format plot data CSV path")
     parser.add_argument("--report", help="JSON report path (default: stdout)")
     parser.add_argument("--horizon", type=int, required=True, metavar="P")
-    parser.add_argument("--multiplier", type=float, default=1.0, metavar="M")
+    parser.add_argument("--multiplier", type=float, default=ForecastConfig.multiplier, metavar="M")
     parser.add_argument("--window", type=int, metavar="N", help="overrides --multiplier")
-    parser.add_argument("--levels", type=int, default=32, metavar="S")
-    parser.add_argument("--criterion", choices=["difference", "correlation"], default="difference")
-    parser.add_argument("--trend", choices=["none", "linear"], default="none")
+    parser.add_argument("--levels", type=int, default=ForecastConfig.levels, metavar="S")
+    parser.add_argument("--criterion", choices=[c.value for c in SimilarityCriterion],
+                        default=ForecastConfig.criterion.value)
+    parser.add_argument("--trend", choices=[t.value for t in TrendMode],
+                        default=ForecastConfig.trend_mode.value)
     parser.add_argument("--method", choices=["linguistic", "holt"], default="linguistic")
-    parser.add_argument("--xi", type=float, default=0.5, help="Holt value smoothing")
-    parser.add_argument("--phi", type=float, default=0.5, help="Holt trend smoothing")
+    parser.add_argument("--xi", type=float, default=HoltConfig.xi, help="Holt value smoothing")
+    parser.add_argument("--phi", type=float, default=HoltConfig.phi, help="Holt trend smoothing")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,37 +124,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_forecast_flags(p_backtest)
 
     p_gen = sub.add_parser("generate", help="write a synthetic series CSV")
-    p_gen.add_argument(
-        "--kind",
-        choices=[SINUSOID, SINUSOID_LINEAR, SINUSOID_QUADRATIC],
-        default=SINUSOID,
-    )
-    p_gen.add_argument("--length", type=int, default=100)
-    p_gen.add_argument("--period", type=float, default=25.0)
-    p_gen.add_argument("--amplitude", type=float, default=2.0)
-    p_gen.add_argument("--slope", type=float, default=0.0)
-    p_gen.add_argument("--quadratic", type=float, default=0.0)
-    p_gen.add_argument("--phase", type=float, default=0.0)
-    p_gen.add_argument("--noise", type=float, default=0.0, help="uniform noise half-width")
-    p_gen.add_argument("--seed", type=int, default=0)
+    for field in dataclasses.fields(GeneratorSpec):
+        p_gen.add_argument(
+            f"--{field.name}", type=type(field.default), default=field.default,
+            choices=KINDS if field.name == "kind" else None,
+            help="uniform noise half-width" if field.name == "noise" else None,
+        )
     p_gen.add_argument("--output", help="output CSV path (default: stdout)")
     return parser
 
 
-def _config_dict(args, holdout: bool) -> dict:
-    return {
-        "input": args.input,
-        "horizon": args.horizon,
-        "multiplier": args.multiplier,
-        "window": args.window,
-        "levels": args.levels,
-        "criterion": args.criterion,
-        "trend": args.trend,
-        "method": args.method,
-        "xi": args.xi,
-        "phi": args.phi,
-        "holdout": holdout,
-    }
+# the forecast and backtest flags a report's manifest records, in report order
+_MANIFEST_KEYS = ("input", "horizon", "multiplier", "window", "levels", "criterion", "trend",
+                  "method", "xi", "phi")
 
 
 def _run_forecast(args) -> int:
@@ -211,12 +188,9 @@ def _run_forecast(args) -> int:
             map("actual,%d,%r".__mod__, zip(indices, actual)) if holdout else (),
         ))
 
+    settings = {key: getattr(args, key) for key in _MANIFEST_KEYS} | {"holdout": holdout}
     report = {
-        "manifest": _manifest(
-            args.subcommand,
-            _config_dict(args, holdout),
-            digest,
-        ),
+        "manifest": _manifest(args.subcommand, settings, digest),
         "method": result.method,
         "matched_start": result.matched_start,
         "score": result.score,
@@ -234,17 +208,8 @@ def _run_forecast(args) -> int:
 
 
 def _run_generate(args) -> int:
-    spec = GeneratorSpec(
-        kind=args.kind,
-        length=args.length,
-        period=args.period,
-        amplitude=args.amplitude,
-        slope=args.slope,
-        quadratic=args.quadratic,
-        phase=args.phase,
-        noise=args.noise,
-        seed=args.seed,
-    )
+    names = [field.name for field in dataclasses.fields(GeneratorSpec)]
+    spec = GeneratorSpec(**{name: getattr(args, name) for name in names})
     series = generate(spec)
     body = "\n".join(map(repr, series.values.tolist())) + "\n"
     if args.output:

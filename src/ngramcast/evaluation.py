@@ -25,9 +25,7 @@ from .errors import InsufficientPoints, SeriesTooShort, UndefinedCorrelation
 from .forecasting import Forecast, ForecastConfig, HoltConfig, forecast
 from .series import TimeSeries, pearson
 
-SINUSOID = "sinusoid"
-SINUSOID_LINEAR = "sinusoid-linear"
-SINUSOID_QUADRATIC = "sinusoid-quadratic"
+KINDS = ("sinusoid", "sinusoid-linear", "sinusoid-quadratic")
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,7 @@ class GeneratorSpec:
     for k = 1..length, u_k uniform on [-noise, +noise].
     """
 
-    kind: str = SINUSOID
+    kind: str = "sinusoid"
     length: int = 100
     period: float = 25.0
     amplitude: float = 2.0
@@ -49,7 +47,7 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in (SINUSOID, SINUSOID_LINEAR, SINUSOID_QUADRATIC):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
@@ -59,9 +57,9 @@ class GeneratorSpec:
             raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
         if self.noise < 0:
             raise ValueError(f"noise half-width must be >= 0, got {self.noise}")
-        if self.kind == SINUSOID and (self.slope != 0.0 or self.quadratic != 0.0):
+        if self.kind == "sinusoid" and (self.slope != 0.0 or self.quadratic != 0.0):
             raise ValueError("slope and quadratic must be 0 for kind 'sinusoid'")
-        if self.kind == SINUSOID_LINEAR and self.quadratic != 0.0:
+        if self.kind == "sinusoid-linear" and self.quadratic != 0.0:
             raise ValueError("quadratic must be 0 for kind 'sinusoid-linear'")
 
 
@@ -119,18 +117,24 @@ def error_metrics(predicted, actual) -> BacktestReport:
     if f.size != a.size:
         raise ValueError(f"length mismatch: {f.size} vs {a.size}")
     err = f - a
-    mae = float(np.abs(err).mean())
-    rmse = float(np.sqrt((err * err).mean()))
     nonzero = a != 0.0
     skipped = int((~nonzero).sum())
     if nonzero.any():
         mape = float((np.abs(err[nonzero] / a[nonzero])).mean() * 100.0)
     else:
         mape = None
-    try:
-        corr = pearson(f, a)
-    except (InsufficientPoints, UndefinedCorrelation):
-        corr = None
+    with np.errstate(over="ignore", under="ignore"):  # the rescale below and pearson recover
+        mae = float(np.abs(err).mean())
+        rmse = float(np.sqrt((err * err).mean()))
+        try:
+            corr = pearson(f, a)
+        except (InsufficientPoints, UndefinedCorrelation):
+            corr = None
+    if math.inf in (mae, rmse):  # a sum or a square overflows; a power-of-two scale is exact
+        e = math.frexp(np.abs(err).max())[1]
+        unit = np.ldexp(err, -e)
+        mae = math.ldexp(float(np.abs(unit).mean()), e) if mae == math.inf else mae
+        rmse = math.ldexp(float(np.sqrt((unit * unit).mean())), e) if rmse == math.inf else rmse
     return BacktestReport(mae, rmse, mape, skipped, corr)
 
 

@@ -109,16 +109,10 @@ def validate_multiplier(horizon: int, multiplier: float) -> tuple[bool, str]:
     Returns (ok, message); message names the recommended range when not ok.
     """
     if horizon >= 5:
-        if 1.0 <= multiplier <= 2.0:
-            return True, "ok"
-        return False, (
-            f"multiplier {multiplier} outside recommended range [1, 2] for horizon >= 5"
-        )
-    if 2.0 < multiplier <= 5.0:
-        return True, "ok"
-    return False, (
-        f"multiplier {multiplier} outside recommended range (2, 5] for horizon < 5"
-    )
+        ok, rule = 1.0 <= multiplier <= 2.0, "[1, 2] for horizon >= 5"
+    else:
+        ok, rule = 2.0 < multiplier <= 5.0, "(2, 5] for horizon < 5"
+    return ok, "ok" if ok else f"multiplier {multiplier} outside recommended range {rule}"
 
 
 def forecast(series: TimeSeries, config: ForecastConfig | HoltConfig) -> Forecast:
@@ -135,7 +129,7 @@ def forecast(series: TimeSeries, config: ForecastConfig | HoltConfig) -> Forecas
     linear = config.trend_mode is TrendMode.LINEAR
     method = "linguo-correlation" if linear else "linguistic"
     p = config.horizon
-    if series.is_constant:
+    if (series.values == series.values[0]).all():
         warnings.warn(
             "constant series: quantization skipped, forecast is the constant",
             stacklevel=2,

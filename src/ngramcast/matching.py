@@ -64,19 +64,21 @@ def find_best_match(
     difference = criterion is SimilarityCriterion.DIFFERENCE
 
     best_start = best_score = None
-    for s in range(1, k - window - horizon + 2):
-        candidate = values[s - 1 : s - 1 + window]
-        if detrend_mode:
-            candidate = detrend(candidate, fit_linear_trend(candidate))
-        if difference:
-            score = float(np.abs(query - candidate).sum())
-        else:
-            try:
-                score = pearson(query, candidate)
-            except UndefinedCorrelation:
-                continue
-        if best_score is None or (score <= best_score if difference else score >= best_score):
-            best_start, best_score = s, score
+    # pearson recovers from an overflow or underflow of its sums of squares
+    with np.errstate(over="ignore", under="ignore"):
+        for s in range(1, k - window - horizon + 2):
+            candidate = values[s - 1 : s - 1 + window]
+            if detrend_mode:
+                candidate = detrend(candidate, fit_linear_trend(candidate))
+            if difference:
+                score = float(np.abs(query - candidate).sum())
+            else:
+                try:
+                    score = pearson(query, candidate)
+                except UndefinedCorrelation:
+                    continue
+            if best_score is None or (score <= best_score if difference else score >= best_score):
+                best_start, best_score = s, score
     if best_start is None:
         raise NoValidCandidate(
             "every candidate window was excluded under the correlation criterion"

@@ -42,10 +42,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    @property
-    def is_constant(self) -> bool:
-        return bool(np.all(self.values == self.values[0]))
-
 
 @dataclass(frozen=True)
 class QuantizationGrid:

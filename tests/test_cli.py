@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import ngramcast
 from ngramcast.errors import EmptyInput, ParseError
 from ngramcast.cli import ingest_csv, main
 from ngramcast.evaluation import GeneratorSpec, generate
+from ngramcast.forecasting import ForecastConfig, HoltConfig
 
 
 class TestIngestCsv:
@@ -310,3 +313,56 @@ class TestBacktestCommand:
         assert rc == 0
         kinds = {r.split(",")[0] for r in plot.read_text().strip().splitlines()[1:]}
         assert kinds == {"history", "forecast", "actual"}
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not valid JSON")
+
+
+class TestLargeValues:
+    @pytest.mark.parametrize("subcommand", ["forecast", "backtest"])
+    @pytest.mark.parametrize("flags", [
+        [], ["--trend", "linear"], ["--criterion", "correlation"],
+        ["--criterion", "correlation", "--trend", "linear"], ["--method", "holt"],
+    ], ids=["difference-none", "difference-linear", "correlation-none", "correlation-linear",
+            "holt"])
+    def test_quiet_and_finite_at_1e160(self, tmp_path, capsys, subcommand, flags):
+        # squares of these values overflow float64; pearson and error_metrics recover from it
+        values = generate(GeneratorSpec(noise=0.15, seed=7)).values * 1e160
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(map(repr, values.tolist())) + "\n")
+        rc = main([subcommand, "--input", str(path), "--horizon", "20", *flags])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        assert "overflow" not in err
+        report = json.loads(out, parse_constant=_reject)
+        assert all(map(math.isfinite, report["forecast"]["values"]))
+        if subcommand == "backtest":
+            metrics = report["metrics"]
+            assert all(math.isfinite(v) for v in metrics.values() if v is not None)
+            # over 20 errors, MAE <= RMSE <= sqrt(20) * MAE
+            assert metrics["mae"] <= metrics["rmse"] <= math.sqrt(20) * metrics["mae"]
+
+
+class TestDefaults:
+    """The CLI's defaults are the defaults of the library's config records."""
+
+    def test_generate(self, capsys):
+        assert main(["generate"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "".join(f"{v!r}\n" for v in generate(GeneratorSpec()).values.tolist())
+        assert json.loads(err)["config"] == dataclasses.asdict(GeneratorSpec())
+
+    @pytest.mark.parametrize("subcommand", ["forecast", "backtest"])
+    def test_forecast_and_backtest(self, tmp_path, capsys, subcommand):
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(map(repr, generate(GeneratorSpec()).values.tolist())) + "\n")
+        assert main([subcommand, "--input", str(path), "--horizon", "7"]) == 0
+        phrase, holt = ForecastConfig(7), HoltConfig(7)
+        assert json.loads(capsys.readouterr().out)["manifest"]["config"] == {
+            "input": str(path), "horizon": 7, "multiplier": phrase.multiplier,
+            "window": phrase.window, "levels": phrase.levels,
+            "criterion": phrase.criterion.value, "trend": phrase.trend_mode.value,
+            "method": "linguistic", "xi": holt.xi, "phi": holt.phi,
+            "holdout": subcommand == "backtest",
+        }

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,16 @@ class TestMetrics:
             a = rng.uniform(-5, 5, size=n)
             m = error_metrics(f, a)
             assert m.mae <= m.rmse + 1e-12
+
+    @pytest.mark.parametrize("power", [500, 600, 1019])
+    def test_scaling_by_a_power_of_two_is_exact(self, power):
+        # from about 2^512 on the squared errors overflow float64, so RMSE must be rescaled
+        rng = np.random.RandomState(31)
+        f, a = rng.uniform(-5, 5, size=20), rng.uniform(-5, 5, size=20)
+        m, big = error_metrics(f, a), error_metrics(np.ldexp(f, power), np.ldexp(a, power))
+        assert big.rmse == math.ldexp(m.rmse, power)
+        assert big.mae == math.ldexp(m.mae, power)
+        assert (big.mape, big.correlation) == (m.mape, m.correlation)
 
 
 class TestBacktest:
