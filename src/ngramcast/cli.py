@@ -2,7 +2,9 @@
 
 All diagnostics (errors, warnings) go to stderr; data goes to files or stdout.
 Floats are serialized with Python's shortest round-trip repr so output files
-are byte-stable across runs and platforms.
+are byte-stable across runs and platforms. Long series are streamed: a CSV is
+parsed in pieces and written _BATCH lines at a time, so peak memory is about
+the input text plus a few float64 arrays, not one Python object per row.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import json
 import math
 import sys
 import warnings
-from itertools import chain, repeat
+from contextlib import nullcontext
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,9 @@ from .forecasting import ForecastConfig, HoltConfig, TrendMode, forecast, valida
 from .matching import SimilarityCriterion
 from .series import TimeSeries
 
+# rows written per batch; a CSV is parsed in pieces of about this many characters
+_BATCH = 1 << 14
+
 
 def ingest_csv(path) -> tuple[TimeSeries, list[str] | None]:
     """Read a series from a one-column (value) or two-column (label, value) CSV.
@@ -35,40 +41,56 @@ def ingest_csv(path) -> tuple[TimeSeries, list[str] | None]:
     any row, the first included. Labels are preserved for output but ignored
     for modeling. Returns (series, labels-or-None).
     """
-    return _parse_csv(Path(path).read_bytes(), path)
+    return _parse_csv(path)[:2]
 
 
-def _parse_csv(data: bytes, path) -> tuple[TimeSeries, list[str] | None]:
-    """ingest_csv on the file's bytes, already read; path only names the file in errors."""
+def _parse_csv(path) -> tuple[TimeSeries, list[str] | None, str]:
+    """ingest_csv, plus the SHA-256 of the bytes parsed: the file is read once."""
+    data = Path(path).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8")  # all of it, so a decoding error wins over a bad row
     except UnicodeDecodeError:
         raise NgramcastError(f"{path} is not UTF-8 text") from None
-    rows = list(filter(str.strip, text.splitlines()))
-    if not rows:
+    del data  # free the bytes before the text is parsed
+    batches = filter(None, (list(filter(str.strip, p.splitlines())) for p in _pieces(text)))
+    first = next(batches, [])
+    commas = 1 if first and "," in first[0] else 0
+    header = bool(first) and first[0].count(",") == commas and _row_value(first[0], commas) is None
+    row, parts, labels = 1 + header, [], [] if commas else None
+    # Parse a piece's rows with C-level calls; go row by row only to name the first bad row.
+    for body in filter(None, chain([first[header:]], batches)):
+        values, fields = None, body
+        if commas:
+            cells = ",".join(body).split(",")  # label, value, ... when each row has one comma
+            labels += map(str.strip, cells[0::2])
+            fields = cells[1::2]
+        # float() rejects a comma, so only label,value rows need their commas counted.
+        if not commas or set(map(str.count, body, repeat(","))) == {1}:
+            try:
+                values = np.fromiter(map(float, map(str.strip, fields)), np.float64, len(fields))
+            except ValueError:
+                pass
+        if values is None or not np.isfinite(values).all():
+            for i, line in enumerate(body, start=row):
+                value = _row_value(line, commas)
+                if value is None or not math.isfinite(value):
+                    raise ParseError(i, line)
+        parts.append(values)
+        row += len(body)
+    if not parts:
         raise EmptyInput(f"no data rows in {path}")
-    commas = 1 if "," in rows[0] else 0
-    header = rows[0].count(",") == commas and _row_value(rows[0], commas) is None
-    body = rows[1:] if header else rows
-    if not body:
-        raise EmptyInput(f"no data rows in {path}")
-    # Parse all rows with C-level calls; go row by row only to name the first bad row.
-    labels, values, fields = None, None, body
-    if commas:
-        pieces = ",".join(body).split(",")  # label, value, ... when each row has one comma
-        labels, fields = list(map(str.strip, pieces[0::2])), pieces[1::2]
-    # float() rejects a comma, so only label,value rows need their commas counted.
-    if not commas or set(map(str.count, body, repeat(","))) == {1}:
-        try:
-            values = np.array(list(map(float, map(str.strip, fields))))
-        except ValueError:
-            pass
-    if values is None or not np.isfinite(values).all():
-        for i, line in enumerate(body, start=2 if header else 1):
-            value = _row_value(line, commas)
-            if value is None or not math.isfinite(value):
-                raise ParseError(i, line)
-    return TimeSeries(values), labels
+    return TimeSeries(np.concatenate(parts)), labels, digest
+
+
+def _pieces(text: str):
+    """text in pieces of _BATCH characters or more, each but the last cut right after a
+    newline, so that no line break is cut and the pieces' lines are the text's lines."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BATCH - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 def _row_value(line: str, commas: int) -> float | None:
@@ -80,9 +102,13 @@ def _row_value(line: str, commas: int) -> float | None:
         return None
 
 
-def _write_csv(path, lines) -> None:
-    """Write lines, each ending in a newline; %r of a float is its shortest repr."""
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_lines(path, lines) -> None:
+    """Write lines to path (stdout if None), each ending in a newline, _BATCH lines at a
+    time, so a long series is never one string; %r of a float is its shortest repr."""
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+        while batch := list(islice(lines, _BATCH)):
+            out.write("\n".join(batch) + "\n")
 
 
 def _manifest(subcommand: str, config: dict, digest: str | None) -> dict:
@@ -143,10 +169,7 @@ def _run_forecast(args) -> int:
     holdout = args.subcommand == "backtest"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        data = Path(args.input).read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        series, _ = _parse_csv(data, args.input)
-        del data  # on long inputs the raw bytes would add to the peak memory of what follows
+        series, _, digest = _parse_csv(args.input)
         horizon = args.horizon
         mult_ok, mult_msg = validate_multiplier(horizon, args.multiplier)
 
@@ -175,13 +198,13 @@ def _run_forecast(args) -> int:
     first_index = len(series) - horizon + 1 if holdout else len(series) + 1
     indices = range(first_index, first_index + horizon)
     if args.output:
-        _write_csv(args.output, chain(["index,value"],
+        _write_lines(args.output, chain(["index,value"],
                                       map("%d,%r".__mod__, zip(indices, result.values))))
 
     if args.plot_data:
-        values = series.values.tolist()
+        values = memoryview(series.values)  # yields Python floats one at a time
         history, actual = values[: first_index - 1], values[first_index - 1 :]
-        _write_csv(args.plot_data, chain(
+        _write_lines(args.plot_data, chain(
             ["series,index,value"],
             map("history,%d,%r".__mod__, zip(range(1, first_index), history)),
             map("forecast,%d,%r".__mod__, zip(indices, result.values)),
@@ -199,23 +222,14 @@ def _run_forecast(args) -> int:
     }
     if holdout:
         report["metrics"] = dataclasses.asdict(backtest)
-    payload = json.dumps(report, indent=2)
-    if args.report:
-        Path(args.report).write_text(payload + "\n", encoding="utf-8")
-    else:
-        print(payload)
+    _write_lines(args.report, [json.dumps(report, indent=2)])
     return 0
 
 
 def _run_generate(args) -> int:
     names = [field.name for field in dataclasses.fields(GeneratorSpec)]
     spec = GeneratorSpec(**{name: getattr(args, name) for name in names})
-    series = generate(spec)
-    body = "\n".join(map(repr, series.values.tolist())) + "\n"
-    if args.output:
-        Path(args.output).write_text(body, encoding="utf-8")
-    else:
-        sys.stdout.write(body)
+    _write_lines(args.output, map(repr, memoryview(generate(spec).values)))
     manifest = _manifest("generate", dataclasses.asdict(spec), None)
     print(json.dumps(manifest), file=sys.stderr)
     return 0
@@ -225,6 +239,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for name, value in vars(args).items():  # a report or manifest holds no nan or inf
+            if isinstance(value, float) and not math.isfinite(value):
+                parser.error(f"argument --{name}: not a finite number: {value!r}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

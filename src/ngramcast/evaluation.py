@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientPoints, SeriesTooShort, UndefinedCorrelation
+from .errors import InsufficientPoints, NgramcastError, SeriesTooShort, UndefinedCorrelation
 from .forecasting import Forecast, ForecastConfig, HoltConfig, forecast
 from .series import TimeSeries, pearson
 
@@ -51,11 +51,11 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
-        if self.period <= 0:
+        if not self.period > 0:
             raise ValueError(f"period must be > 0, got {self.period}")
-        if self.amplitude <= 0:
+        if not self.amplitude > 0:
             raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
-        if self.noise < 0:
+        if not self.noise >= 0:  # nan too
             raise ValueError(f"noise half-width must be >= 0, got {self.noise}")
         if self.kind == "sinusoid" and (self.slope != 0.0 or self.quadratic != 0.0):
             raise ValueError("slope and quadratic must be 0 for kind 'sinusoid'")
@@ -86,6 +86,7 @@ def clean_values(spec: GeneratorSpec, positions) -> np.ndarray:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # TimeSeries refuses a value that overflows
 def generate(spec: GeneratorSpec) -> TimeSeries:
     """Deterministic series for the spec; identical spec gives identical bits."""
     values = clean_values(spec, np.arange(1, spec.length + 1))
@@ -96,11 +97,12 @@ def generate(spec: GeneratorSpec) -> TimeSeries:
 
 @dataclass(frozen=True)
 class BacktestReport:
-    """Error metrics of a forecast against the actual values."""
+    """Error metrics of a forecast against the actual values. Sums and ratios that overflow
+    are rescaled by powers of two: MAPE is None only if its mean exceeds float64."""
 
     mae: float
     rmse: float
-    mape: float | None  # percent; None when every actual is 0
+    mape: float | None  # percent; None when every actual is 0 or the mean exceeds float64
     mape_skipped: int  # actuals equal to 0, excluded from MAPE
     correlation: float | None  # None for one point, or when forecast or actual is constant
 
@@ -116,25 +118,30 @@ def error_metrics(predicted, actual) -> BacktestReport:
     a = np.asarray(actual, dtype=np.float64)
     if f.size != a.size:
         raise ValueError(f"length mismatch: {f.size} vs {a.size}")
-    err = f - a
     nonzero = a != 0.0
     skipped = int((~nonzero).sum())
-    if nonzero.any():
-        mape = float((np.abs(err[nonzero] / a[nonzero])).mean() * 100.0)
-    else:
-        mape = None
     with np.errstate(over="ignore", under="ignore"):  # the rescale below and pearson recover
+        err = f - a
         mae = float(np.abs(err).mean())
         rmse = float(np.sqrt((err * err).mean()))
+        mape = float(np.abs(err[nonzero] / a[nonzero]).mean() * 100.0) if nonzero.any() else None
         try:
             corr = pearson(f, a)
         except (InsufficientPoints, UndefinedCorrelation):
             corr = None
-    if math.inf in (mae, rmse):  # a sum or a square overflows; a power-of-two scale is exact
-        e = math.frexp(np.abs(err).max())[1]
-        unit = np.ldexp(err, -e)
-        mae = math.ldexp(float(np.abs(unit).mean()), e) if mae == math.inf else mae
-        rmse = math.ldexp(float(np.sqrt((unit * unit).mean())), e) if rmse == math.inf else rmse
+    if math.inf in (mae, rmse, mape):  # something overflows; power-of-two scales are exact
+        e = math.frexp(np.abs(err).max())[1] or 1025  # frexp(inf) gives 0: f - a overflows
+        unit = np.ldexp(f, -e) - np.ldexp(a, -e)  # err * 2^-e, below 1 in size
+        try:
+            mae = math.ldexp(float(np.abs(unit).mean()), e) if mae == math.inf else mae
+            rmse = math.ldexp(float(np.sqrt((unit * unit).mean())), e) if rmse == math.inf else rmse
+        except OverflowError:
+            raise NgramcastError("the forecast errors are too large: RMSE overflows float64") from None
+        if mape == math.inf:  # |err / a| = |unit / m| * 2^(e - x) where a = m * 2^x
+            m, x = np.frexp(a[nonzero])
+            top = int((e - x).max())
+            mean = float(np.ldexp(np.abs(unit[nonzero] / m), e - x - top).mean() * 100.0)
+            mape = math.ldexp(mean, top) if top + math.frexp(mean)[1] <= 1024 else None
     return BacktestReport(mae, rmse, mape, skipped, corr)
 
 

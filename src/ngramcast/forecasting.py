@@ -46,7 +46,7 @@ class ForecastConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.multiplier <= 0:
+        if not self.multiplier > 0:  # nan too
             raise ValueError(f"multiplier must be > 0, got {self.multiplier}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
@@ -164,7 +164,7 @@ def forecast_holt(series: TimeSeries, config: HoltConfig) -> Forecast:
     Forecast trajectory: x_hat_K + j * t_hat_K for j = 1..P. Exact on lines
     for any xi, phi under this initialization.
     """
-    x = series.values.tolist()
+    x = memoryview(series.values)  # Python floats one at a time, not a list of all of them
     if len(x) < 2:
         raise SeriesTooShort(len(x), 2)
     xi, phi = config.xi, config.phi

@@ -315,6 +315,52 @@ class TestBacktestCommand:
         assert kinds == {"history", "forecast", "actual"}
 
 
+class TestMapeOverflow:
+    """A backtest report holds a finite MAPE or null, never Infinity."""
+
+    def backtest(self, tmp_path, capsys, rows, horizon):
+        path = tmp_path / "s.csv"
+        path.write_text("".join(f"{row}\n" for row in rows))
+        rc = main(["backtest", "--input", str(path), "--horizon", str(horizon),
+                   "--method", "holt"])
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    def test_mape_past_float64_is_null(self, tmp_path, capsys):
+        rc, out, err = self.backtest(tmp_path, capsys, ["1e10"] * 10 + ["1e-300"], 1)
+        assert (rc, err) == (0, "")
+        assert json.loads(out, parse_constant=_reject)["metrics"]["mape"] is None
+
+    def test_overflowing_ratio_gives_finite_mape(self, tmp_path, capsys):
+        rc, out, err = self.backtest(tmp_path, capsys, ["10"] * 10 + ["1e-308"] + ["10"] * 999, 1000)
+        assert (rc, err) == (0, "")
+        assert json.loads(out, parse_constant=_reject)["metrics"]["mape"] == pytest.approx(1e308)
+
+    def test_errors_past_float64_are_one_line_error(self, tmp_path, capsys):
+        rc, out, err = self.backtest(tmp_path, capsys, ["1e308"] * 10 + ["-1e308"], 1)
+        assert (rc, out) == (1, "")
+        assert err == "error: the forecast errors are too large: RMSE overflows float64\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["forecast", "--input", "s.csv", "--horizon", "3", "--method", "holt", "--multiplier", "nan"],
+    ["backtest", "--input", "s.csv", "--horizon", "3", "--xi", "nan"],
+    ["forecast", "--input", "s.csv", "--horizon", "3", "--multiplier", "inf"],
+    ["generate", "--noise", "nan"],
+    ["generate", "--phase", "inf"],
+])
+def test_non_finite_float_flag_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # a report or manifest records every flag, and strict JSON has no nan or inf
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.csv").write_text("".join(f"{k % 5}\n" for k in range(40)))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    flag, value = argv[-2:]
+    assert out == ""
+    assert err.startswith("usage: ngramcast")
+    assert err.endswith(f"error: argument {flag}: not a finite number: {float(value)!r}\n")
+
+
 def _reject(constant):
     raise ValueError(f"{constant} is not valid JSON")
 

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from ngramcast import (
     generate,
     holdout_backtest,
 )
-from ngramcast.errors import SeriesTooShort
+from ngramcast.errors import NgramcastError, SeriesTooShort
 from ngramcast.evaluation import clean_values, error_metrics, uniform_noise
 
 MASK64 = (1 << 64) - 1
@@ -134,6 +136,34 @@ class TestMetrics:
         assert big.rmse == math.ldexp(m.rmse, power)
         assert big.mae == math.ldexp(m.mae, power)
         assert (big.mape, big.correlation) == (m.mape, m.correlation)
+
+
+
+class TestMetricsPastFloat64:
+    """MAPE is finite or None and MAE/RMSE finite or an error; never inf, nan or a warning."""
+
+    def test_mape_whose_mean_exceeds_float64_is_none(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = error_metrics([1e10, 2.0], [1e-300, 1.0])
+        assert m.mape is None
+        assert (m.mae, m.mape_skipped) == ((1e10 - 1e-300 + 1.0) / 2, 0)
+
+    def test_mape_with_an_overflowing_ratio_is_rescaled(self):
+        # one ratio is 1e309, past float64, but their mean times 100 is about 1e308
+        f, a = [10.0] * 1000, [1e-308] + [10.0] * 999
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = error_metrics(f, a)
+        exact = sum(abs(Fraction(x) - Fraction(y)) / abs(Fraction(y)) for x, y in zip(f, a))
+        assert m.mape == pytest.approx(float(exact / 1000 * 100), rel=1e-14)
+
+    @pytest.mark.parametrize("f, a", [([1.5e308], [-1.5e308]), ([1e308, -1e308], [-1e308, 1e308])])
+    def test_errors_past_float64_are_refused(self, f, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NgramcastError, match="RMSE overflows float64"):
+                error_metrics(f, a)
 
 
 class TestBacktest:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
+from ngramcast import cli
 from ngramcast.cli import ingest_csv, main
 from ngramcast.errors import EmptyInput, NgramcastError, ParseError
 from ngramcast.series import TimeSeries
@@ -123,6 +124,49 @@ def test_first_bad_row_wins(text, tmp_path):
     path.write_bytes(text.encode("utf-8"))
     assert outcome(ingest_csv, path) == outcome(reference_ingest_csv, path)
     assert outcome(ingest_csv, path)[0] == "ParseError"
+
+
+@seed(20221019)
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts(), batch=st.integers(1, 6))
+def test_matches_reference_parser_in_small_pieces(text, batch, tmp_path, monkeypatch):
+    # a piece of a few characters holds a row or two, so every input spans many pieces
+    monkeypatch.setattr(cli, "_BATCH", batch)
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(ingest_csv, path) == outcome(reference_ingest_csv, path)
+
+
+@pytest.mark.parametrize("text", [
+    "1\r\n2\r\n3.5\r\n-4\r\n",  # no cut falls between the "\r" and the "\n" of a row end
+    "t,v\r\na,1\r\n\r\nb,2\r\nc,3",
+    "1\r2\r3\r4\r",  # no "\n" at all: one piece
+    "value\n\n \n\t\n\n",  # a header, then only blank lines
+    "\n\n  \n\nvalue\n1\n2\n",  # blank pieces before the header
+    "date,value\n\n\n\n\n",
+    "1\n2\n3\n4\n5\n6\nabc\n",  # a bad row in the last piece
+    "1\n2\n3\n4\n5\n6\n-inf\n",  # a non-finite row in the last piece
+    "a,1\nb,2\nc,3\nd,4\ne,5,6\n",
+    "a,1\nb,2\nc,3\nd,4\ne,nan",
+])
+def test_every_cut_matches_reference(text, tmp_path, monkeypatch):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = outcome(reference_ingest_csv, path)
+    for batch in range(1, len(text) + 2):
+        monkeypatch.setattr(cli, "_BATCH", batch)
+        assert outcome(ingest_csv, path) == want, batch
+
+
+@pytest.mark.parametrize("text", ["1\r\n2\r3\n\n4\u20285\n6", "\n\n\n", "x\r\n", "7"])
+def test_pieces_are_cut_right_after_newlines(text, monkeypatch):
+    for batch in range(1, len(text) + 2):
+        monkeypatch.setattr(cli, "_BATCH", batch)
+        pieces = list(cli._pieces(text))
+        assert "".join(pieces) == text
+        assert all(p.endswith("\n") for p in pieces[:-1])
+        assert [line for p in pieces for line in p.splitlines()] == text.splitlines()
 
 
 class TestShortInputs:
