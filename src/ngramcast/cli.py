@@ -2,9 +2,10 @@
 
 All diagnostics (errors, warnings) go to stderr; data goes to files or stdout.
 Floats are serialized with Python's shortest round-trip repr so output files
-are byte-stable across runs and platforms. Long series are streamed: a CSV is
-parsed in pieces and written _BATCH lines at a time, so peak memory is about
-the input text plus a few float64 arrays, not one Python object per row.
+are byte-stable across runs and platforms. ingest_csv is the one CSV reader;
+it keeps a label,value file's values, not its labels. Long series are streamed:
+a CSV is parsed in pieces and written _BATCH lines at a time, so peak memory is
+about the input text plus a few float64 arrays, not one Python object per row.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import sys
 import warnings
 from contextlib import nullcontext
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -33,19 +34,15 @@ from .series import TimeSeries
 _BATCH = 1 << 14
 
 
-def ingest_csv(path) -> tuple[TimeSeries, list[str] | None]:
-    """Read a series from a one-column (value) or two-column (label, value) CSV.
+def ingest_csv(path) -> tuple[TimeSeries, str]:
+    """Read a series from a one-column (value) or two-column (label,value) CSV, and
+    return it with the SHA-256 of the file's bytes: the file is read once.
 
     A header row is auto-detected: if the value field of the first row is not
-    numeric, the row is skipped. A nan or infinite value is a ParseError in
-    any row, the first included. Labels are preserved for output but ignored
-    for modeling. Returns (series, labels-or-None).
+    numeric, the row is skipped. A two-column row's value is the text after its
+    first comma; the label before it is read past and not kept. A nan or
+    infinite value is a ParseError in any row, the first included.
     """
-    return _parse_csv(path)[:2]
-
-
-def _parse_csv(path) -> tuple[TimeSeries, list[str] | None, str]:
-    """ingest_csv, plus the SHA-256 of the bytes parsed: the file is read once."""
     data = Path(path).read_bytes()
     digest = hashlib.sha256(data).hexdigest()
     try:
@@ -57,20 +54,15 @@ def _parse_csv(path) -> tuple[TimeSeries, list[str] | None, str]:
     first = next(batches, [])
     commas = 1 if first and "," in first[0] else 0
     header = bool(first) and first[0].count(",") == commas and _row_value(first[0], commas) is None
-    row, parts, labels = 1 + header, [], [] if commas else None
+    row, parts = 1 + header, []
     # Parse a piece's rows with C-level calls; go row by row only to name the first bad row.
+    # float() rejects an empty field and one that holds a comma: a wrong field count fails.
     for body in filter(None, chain([first[header:]], batches)):
-        values, fields = None, body
-        if commas:
-            cells = ",".join(body).split(",")  # label, value, ... when each row has one comma
-            labels += map(str.strip, cells[0::2])
-            fields = cells[1::2]
-        # float() rejects a comma, so only label,value rows need their commas counted.
-        if not commas or set(map(str.count, body, repeat(","))) == {1}:
-            try:
-                values = np.fromiter(map(float, map(str.strip, fields)), np.float64, len(fields))
-            except ValueError:
-                pass
+        fields = (line.partition(",")[2] for line in body) if commas else body
+        try:
+            values = np.fromiter(map(float, map(str.strip, fields)), np.float64, len(body))
+        except ValueError:
+            values = None
         if values is None or not np.isfinite(values).all():
             for i, line in enumerate(body, start=row):
                 value = _row_value(line, commas)
@@ -80,7 +72,7 @@ def _parse_csv(path) -> tuple[TimeSeries, list[str] | None, str]:
         row += len(body)
     if not parts:
         raise EmptyInput(f"no data rows in {path}")
-    return TimeSeries(np.concatenate(parts)), labels, digest
+    return TimeSeries(np.concatenate(parts)), digest
 
 
 def _pieces(text: str):
@@ -169,7 +161,7 @@ def _run_forecast(args) -> int:
     holdout = args.subcommand == "backtest"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        series, _, digest = _parse_csv(args.input)
+        series, digest = ingest_csv(args.input)
         horizon = args.horizon
         mult_ok, mult_msg = validate_multiplier(horizon, args.multiplier)
 
@@ -251,9 +243,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        verb = "read" if exc.filename == getattr(args, "input", None) else "write"
-        print(f"error: cannot {verb} {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+    except OSError as exc:  # one with no file name is a write to stdout
+        name = exc.filename or "stdout"
+        verb = "read" if exc.filename and name == getattr(args, "input", None) else "write"
+        print(f"error: cannot {verb} {name}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except (NgramcastError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,6 +57,8 @@ class ForecastConfig:
             if self.window < 2:
                 raise WindowTooSmall(f"window must be >= 2, got {self.window}")
             return self.window
+        if self.multiplier * self.horizon == math.inf:
+            raise ValueError(f"multiplier {self.multiplier} times horizon {self.horizon} overflows")
         n = math.ceil(self.multiplier * self.horizon)
         if n < 2:
             raise WindowTooSmall(

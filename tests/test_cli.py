@@ -1,9 +1,12 @@
 import dataclasses
+import errno
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -20,16 +23,14 @@ class TestIngestCsv:
     def test_single_column(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("1\n2\n3\n")
-        series, labels = ingest_csv(path)
+        series, _ = ingest_csv(path)
         assert list(series.values) == [1, 2, 3]
-        assert labels is None
 
     def test_two_column_with_header(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("date,count\n2021-01-01,7\n2021-01-02,9\n")
-        series, labels = ingest_csv(path)
+        series, _ = ingest_csv(path)
         assert list(series.values) == [7, 9]
-        assert labels == ["2021-01-01", "2021-01-02"]
 
     def test_parse_error_reports_row(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -179,6 +180,26 @@ class TestForecastCommand:
         assert rc == 1
         assert len(err.splitlines()) == 1
         assert err.startswith(expected)
+
+    @pytest.mark.parametrize("subcommand", ["generate", "forecast"])
+    def test_broken_pipe_on_stdout_is_one_line_error(self, fig2_csv, capsys, subcommand):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        argv = {"generate": ["generate", "--length", "10"],
+                "forecast": ["forecast", "--input", str(fig2_csv), "--horizon", "5"]}[subcommand]
+        with redirect_stdout(ClosedPipe()):
+            rc = main(argv)
+        assert rc == 1
+        assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
+
+    def test_overflowing_window_length_is_one_line_error(self, fig2_csv, capsys):
+        argv = ["forecast", "--input", str(fig2_csv), "--horizon", "5", "--multiplier", "1e308"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: multiplier 1e+308 times horizon 5 overflows\n"
+        # an explicit window takes no product, so the same multiplier runs
+        assert main(argv + ["--window", "4"]) == 0
 
     @pytest.mark.parametrize("rows, flags, message", [
         # max - min overflows float64

@@ -16,7 +16,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from ngramcast import cli
@@ -32,7 +32,8 @@ HOSTILE = st.sampled_from(["nan", "-inf", "abc", "", "1,2,3", "1e400", "\udcff"]
 # each flag's valid values, then values that a library record or argparse must refuse
 FLAGS = {
     "--horizon": (["1", "2", "3", "5", "20"], ["0", "-1", "x"]),
-    "--multiplier": (["1", "1.5", "2.5", "5", "0.01", "1e300"], ["0", "-1", "nan", "inf"]),
+    "--multiplier": (["1", "1.5", "2.5", "5", "0.01", "1e300", "1e308"],
+                     ["0", "-1", "nan", "inf"]),
     "--window": (["2", "3", "10"], ["1", "0"]),
     "--levels": (["1", "2", "8", "32", "1000000000000000000"], ["0"]),
     "--criterion": (["difference", "correlation"], ["other"]),
@@ -112,6 +113,9 @@ def assert_finite_report(text):
 @settings(max_examples=200, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(data=csv_bytes(), call=invocations(), batch=st.integers(1, 8))
+# the seeded draws never pair a 1e308 multiplier with the phrase method and no --window
+@example(data=b"1\n2\n3\n", call=("forecast", ["--horizon", "5", "--multiplier", "1e308"], {}),
+         batch=2)
 def test_every_run_ends_in_one_of_three_ways(data, call, batch, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_BATCH", batch)
     subcommand, flags, outputs = call

@@ -37,6 +37,13 @@ class TestWindowLength:
         with pytest.raises(WindowTooSmall):
             ForecastConfig(1, 0.5).window_length
 
+    def test_overflowing_product_names_horizon_and_multiplier(self):
+        with pytest.raises(ValueError, match=r"multiplier 1e\+308 times horizon 5 overflows"):
+            ForecastConfig(5, 1e308).window_length
+
+    def test_window_needs_no_product(self):
+        assert ForecastConfig(5, 1e308, window=4).window_length == 4
+
 
 class TestValidateMultiplier:
     def test_long_horizon_ok(self):

@@ -84,3 +84,15 @@ def test_holt_backtest_peak_memory_is_under_4x_its_input(tmp_path):
                         "--report", str(tmp_path / "report.json")])
     size = series.stat().st_size
     assert peak <= 4 * size, f"{peak / size:.1f} x"
+
+
+def test_labelled_holt_backtest_peak_memory_is_under_3x_its_input(tmp_path):
+    # the label column is read past: no per-row string is kept for it
+    series = tmp_path / "s.csv"
+    values = generate(GeneratorSpec(length=100_000, noise=0.15, seed=7)).values.tolist()
+    series.write_text("date,value\n" + "".join(f"t{i},{v!r}\n" for i, v in enumerate(values)))
+    peak = traced_peak(["backtest", "--input", str(series), "--horizon", "20", "--method", "holt",
+                        "--plot-data", str(tmp_path / "plot.csv"),
+                        "--report", str(tmp_path / "report.json")])
+    size = series.stat().st_size
+    assert peak <= 3 * size, f"{peak / size:.1f} x"
