@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import EmptyInput, NgramcastError, ParseError
+from .errors import NgramcastError
 from .evaluation import KINDS, GeneratorSpec, generate, holdout_backtest
 from .forecasting import ForecastConfig, HoltConfig, TrendMode, forecast, validate_multiplier
 from .matching import SimilarityCriterion
@@ -40,8 +40,8 @@ def ingest_csv(path) -> tuple[TimeSeries, str]:
 
     A header row is auto-detected: if the value field of the first row is not
     numeric, the row is skipped. A two-column row's value is the text after its
-    first comma; the label before it is read past and not kept. A nan or
-    infinite value is a ParseError in any row, the first included.
+    first comma; the label before it is read past and not kept. A nan or infinite
+    value in any row, the first included, is an error that names the row.
     """
     data = Path(path).read_bytes()
     digest = hashlib.sha256(data).hexdigest()
@@ -67,11 +67,11 @@ def ingest_csv(path) -> tuple[TimeSeries, str]:
             for i, line in enumerate(body, start=row):
                 value = _row_value(line, commas)
                 if value is None or not math.isfinite(value):
-                    raise ParseError(i, line)
+                    raise NgramcastError(f"row {i}: cannot parse {line!r}")
         parts.append(values)
         row += len(body)
     if not parts:
-        raise EmptyInput(f"no data rows in {path}")
+        raise NgramcastError(f"no data rows in {path}")
     return TimeSeries(np.concatenate(parts)), digest
 
 

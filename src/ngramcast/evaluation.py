@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientPoints, NgramcastError, SeriesTooShort, UndefinedCorrelation
+from .errors import NgramcastError, SeriesTooShort, UndefinedCorrelation
 from .forecasting import Forecast, ForecastConfig, HoltConfig, forecast
 from .series import TimeSeries, pearson
 
@@ -127,7 +127,7 @@ def error_metrics(predicted, actual) -> BacktestReport:
         mape = float(np.abs(err[nonzero] / a[nonzero]).mean() * 100.0) if nonzero.any() else None
         try:
             corr = pearson(f, a)
-        except (InsufficientPoints, UndefinedCorrelation):
+        except UndefinedCorrelation:
             corr = None
     if math.inf in (mae, rmse, mape):  # something overflows; power-of-two scales are exact
         e = math.frexp(np.abs(err).max())[1] or 1025  # frexp(inf) gives 0: f - a overflows

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NgramcastError, SeriesTooShort, WindowTooSmall
+from .errors import NgramcastError, SeriesTooShort
 from .matching import SimilarityCriterion, find_best_match
 from .series import TimeSeries, fit_linear_trend, quantize
 
@@ -55,13 +55,13 @@ class ForecastConfig:
     def window_length(self) -> int:
         if self.window is not None:
             if self.window < 2:
-                raise WindowTooSmall(f"window must be >= 2, got {self.window}")
+                raise NgramcastError(f"window must be >= 2, got {self.window}")
             return self.window
-        if self.multiplier * self.horizon == math.inf:
+        if not self.multiplier * self.horizon < 2**53:  # ceil is exact only below 2^53
             raise ValueError(f"multiplier {self.multiplier} times horizon {self.horizon} overflows")
         n = math.ceil(self.multiplier * self.horizon)
         if n < 2:
-            raise WindowTooSmall(
+            raise NgramcastError(
                 f"derived window length {n} is below 2"
                 f" (horizon={self.horizon}, multiplier={self.multiplier})"
             )
@@ -131,6 +131,7 @@ def forecast(series: TimeSeries, config: ForecastConfig | HoltConfig) -> Forecas
     linear = config.trend_mode is TrendMode.LINEAR
     method = "linguo-correlation" if linear else "linguistic"
     p = config.horizon
+    n = config.window_length  # before the shortcut, so a bad window fails on every series
     if (series.values == series.values[0]).all():
         warnings.warn(
             "constant series: quantization skipped, forecast is the constant",
@@ -138,7 +139,6 @@ def forecast(series: TimeSeries, config: ForecastConfig | HoltConfig) -> Forecas
         )
         c = float(series.values[0])
         return Forecast((c,) * p, matched_start=0, score=0.0, method=method)
-    n = config.window_length
     quantized, _ = quantize(series, config.levels)
     match = find_best_match(quantized, n, p, config.criterion, detrend_mode=linear)
     qv = quantized.values

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateRange,
-    InsufficientPoints,
-    InvalidLevels,
-    UndefinedCorrelation,
-)
+from .errors import NgramcastError, UndefinedCorrelation
 
 _TINY = 2.0**-1022  # the smallest normal float64
 
@@ -73,18 +68,18 @@ def quantize(series: TimeSeries, levels: int) -> tuple[TimeSeries, QuantizationG
     max, so those two values map to themselves exactly.
     """
     if levels < 1:
-        raise InvalidLevels(f"levels must be >= 1, got {levels}")
+        raise NgramcastError(f"levels must be >= 1, got {levels}")
     vmin = float(series.values.min())
     vmax = float(series.values.max())
     if vmax == vmin:
-        raise DegenerateRange("constant series: quantization grid is undefined")
+        raise NgramcastError("constant series: quantization grid is undefined")
     step = (vmax - vmin) / levels
     if not math.isfinite(step):
-        raise DegenerateRange(
+        raise NgramcastError(
             f"value range [{vmin}, {vmax}] is too wide: max - min overflows float64"
         )
     if step == 0.0:
-        raise DegenerateRange(
+        raise NgramcastError(
             f"value range [{vmin}, {vmax}] is too narrow for {levels} levels:"
             " the grid step underflows float64"
         )
@@ -105,7 +100,7 @@ def fit_linear_trend(window) -> LinearTrend:
     y = np.asarray(window, dtype=np.float64)
     n = y.size
     if n < 2:
-        raise InsufficientPoints(f"need at least 2 points to fit a trend, got {n}")
+        raise NgramcastError(f"need at least 2 points to fit a trend, got {n}")
     x = np.arange(1, n + 1, dtype=np.float64)
     x_mean = x.mean()
     y_mean = y.mean()
@@ -123,17 +118,17 @@ def detrend(window, trend: LinearTrend) -> np.ndarray:
 def pearson(a, b) -> float:
     """Sample Pearson correlation of two equal-length sequences, clamped to [-1, 1].
 
-    Raises UndefinedCorrelation when either sequence has zero variance, that
-    is when its deviations from its mean are exactly all 0. Any finite scale
-    gives the same r: an exact scaling of an input by a power of two leaves
-    every bit of r as it is.
+    Raises UndefinedCorrelation on fewer than 2 points or when either sequence
+    has zero variance (its deviations from its mean are exactly all 0). Any
+    finite scale gives the same r: an exact scaling of an input by a power of
+    two leaves every bit of r as it is.
     """
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
-        raise InsufficientPoints(f"need at least 2 points, got {x.size}")
+        raise UndefinedCorrelation(f"need at least 2 points, got {x.size}")
     dx = x - x.mean()
     dy = y - y.mean()
     ssx = float(dx @ dx)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import ngramcast
-from ngramcast.errors import EmptyInput, ParseError
+from ngramcast.errors import NgramcastError
 from ngramcast.cli import ingest_csv, main
 from ngramcast.evaluation import GeneratorSpec, generate
 from ngramcast.forecasting import ForecastConfig, HoltConfig
@@ -35,9 +36,8 @@ class TestIngestCsv:
     def test_parse_error_reports_row(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("1\nabc\n")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(NgramcastError, match=r"^row 2: cannot parse 'abc'$"):
             ingest_csv(path)
-        assert exc.value.row == 2
 
     @pytest.mark.parametrize("row", [1, 2])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -46,14 +46,13 @@ class TestIngestCsv:
         lines[row - 1] = bad
         path = tmp_path / "s.csv"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(NgramcastError, match=rf"^row {row}: cannot parse '{bad}'$"):
             ingest_csv(path)
-        assert exc.value.row == row
 
     def test_empty_input(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("\n")
-        with pytest.raises(EmptyInput):
+        with pytest.raises(NgramcastError, match=f"^no data rows in {re.escape(str(path))}$"):
             ingest_csv(path)
 
     def test_missing_file(self, tmp_path):
@@ -200,6 +199,25 @@ class TestForecastCommand:
         assert capsys.readouterr().err == "error: multiplier 1e+308 times horizon 5 overflows\n"
         # an explicit window takes no product, so the same multiplier runs
         assert main(argv + ["--window", "4"]) == 0
+
+    def test_inexact_window_length_is_one_line_error(self, fig2_csv, capsys):
+        # 5e300 is finite, but past 2^53 ceil no longer gives the exact product
+        argv = ["forecast", "--input", str(fig2_csv), "--horizon", "5", "--multiplier", "1e300"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: multiplier 1e+300 times horizon 5 overflows\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--horizon", "5", "--window", "1"], "window must be >= 2, got 1"),
+        (["--horizon", "1", "--multiplier", "0.5"],
+         "derived window length 1 is below 2 (horizon=1, multiplier=0.5)"),
+        (["--horizon", "5", "--multiplier", "1e308"], "multiplier 1e+308 times horizon 5 overflows"),
+    ], ids=["window", "derived-window", "overflow"])
+    def test_bad_window_fails_on_a_constant_series_too(self, tmp_path, capsys, flags, message):
+        for name, rows in [("varied", range(30)), ("constant", [7] * 30)]:
+            path = tmp_path / f"{name}.csv"
+            path.write_text("".join(f"{v}\n" for v in rows))
+            assert main(["forecast", "--input", str(path)] + flags) == 1, name
+            assert capsys.readouterr().err == f"error: {message}\n", name
 
     @pytest.mark.parametrize("rows, flags, message", [
         # max - min overflows float64

@@ -14,7 +14,7 @@ from ngramcast import (
     TrendMode,
     forecast,
 )
-from ngramcast.errors import NgramcastError, NoValidCandidate, SeriesTooShort, WindowTooSmall
+from ngramcast.errors import NgramcastError, NoValidCandidate, SeriesTooShort
 from ngramcast.evaluation import GeneratorSpec, clean_values, generate
 from ngramcast.forecasting import forecast_holt, validate_multiplier
 from ngramcast.series import quantize
@@ -34,12 +34,18 @@ class TestWindowLength:
         assert ForecastConfig(10, 1.5).window_length == 15
 
     def test_window_too_small(self):
-        with pytest.raises(WindowTooSmall):
+        message = r"^derived window length 1 is below 2 \(horizon=1, multiplier=0\.5\)$"
+        with pytest.raises(NgramcastError, match=message):
             ForecastConfig(1, 0.5).window_length
 
     def test_overflowing_product_names_horizon_and_multiplier(self):
         with pytest.raises(ValueError, match=r"multiplier 1e\+308 times horizon 5 overflows"):
             ForecastConfig(5, 1e308).window_length
+
+    def test_inexact_product_names_horizon_and_multiplier(self):
+        # 5e300 is finite, but ceil is exact only below 2^53
+        with pytest.raises(ValueError, match=r"^multiplier 1e\+300 times horizon 5 overflows$"):
+            ForecastConfig(5, 1e300).window_length
 
     def test_window_needs_no_product(self):
         assert ForecastConfig(5, 1e308, window=4).window_length == 4

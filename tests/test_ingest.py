@@ -3,12 +3,13 @@
 reference_ingest_csv is the straightforward per-row parser: split every row at
 its commas, strip the fields, parse the value with float(). ingest_csv must
 give the same values bit for bit, the same SHA-256 of the file, and the same
-error: the same ParseError row and text, or EmptyInput.
+error message, which names the first bad row and its text.
 """
 
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from ngramcast import cli
 from ngramcast.cli import ingest_csv, main
-from ngramcast.errors import EmptyInput, NgramcastError, ParseError
+from ngramcast.errors import NgramcastError
 from ngramcast.series import TimeSeries
 
 
@@ -31,7 +32,7 @@ def reference_ingest_csv(path):
         raise NgramcastError(f"{path} is not UTF-8 text") from None
     rows = [line for line in text.splitlines() if line.strip()]
     if not rows:
-        raise EmptyInput(f"no data rows in {path}")
+        raise NgramcastError(f"no data rows in {path}")
     values = []
     two_column = "," in rows[0]
     for i, line in enumerate(rows, start=1):
@@ -41,18 +42,18 @@ def reference_ingest_csv(path):
         elif not two_column and len(fields) == 1:
             field = fields[0].strip()
         else:
-            raise ParseError(i, line)
+            raise NgramcastError(f"row {i}: cannot parse {line!r}")
         try:
             value = float(field)
         except ValueError:
             if i == 1:
                 continue  # header row
-            raise ParseError(i, line) from None
+            raise NgramcastError(f"row {i}: cannot parse {line!r}") from None
         if not math.isfinite(value):
-            raise ParseError(i, line)
+            raise NgramcastError(f"row {i}: cannot parse {line!r}")
         values.append(value)
     if not values:
-        raise EmptyInput(f"no data rows in {path}")
+        raise NgramcastError(f"no data rows in {path}")
     return TimeSeries(np.asarray(values)), hashlib.sha256(data).hexdigest()
 
 
@@ -60,10 +61,8 @@ def outcome(parse, path):
     """What a parser makes of path: the values' bits and the file's digest, or the error."""
     try:
         series, digest = parse(path)
-    except ParseError as exc:
-        return ("ParseError", exc.row, exc.text, str(exc))
-    except EmptyInput as exc:
-        return ("EmptyInput", str(exc))
+    except NgramcastError as exc:
+        return ("error", str(exc))
     return ("ok", series.values.view(np.uint64).tolist(), digest)
 
 
@@ -123,7 +122,7 @@ def test_first_bad_row_wins(text, tmp_path):
     path = tmp_path / "s.csv"
     path.write_bytes(text.encode("utf-8"))
     assert outcome(ingest_csv, path) == outcome(reference_ingest_csv, path)
-    assert outcome(ingest_csv, path)[0] == "ParseError"
+    assert outcome(ingest_csv, path)[1].startswith("row ")
 
 
 @seed(20221019)
@@ -188,7 +187,7 @@ class TestShortInputs:
     def test_header_only_is_empty(self, tmp_path, text):
         path = tmp_path / "s.csv"
         path.write_text(text)
-        with pytest.raises(EmptyInput):
+        with pytest.raises(NgramcastError, match=f"^no data rows in {re.escape(str(path))}$"):
             ingest_csv(path)
 
     @pytest.mark.parametrize("text", ["4.5\n", "date,value\n2021-01-01,4.5\n"])

@@ -4,12 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ngramcast.errors import (
-    DegenerateRange,
-    InsufficientPoints,
-    InvalidLevels,
-    UndefinedCorrelation,
-)
+from ngramcast.errors import NgramcastError, UndefinedCorrelation
 from ngramcast.series import (
     LinearTrend,
     TimeSeries,
@@ -97,16 +92,19 @@ class TestQuantize:
             assert np.allclose(q2.values, q.values, atol=1e-12, rtol=0)
 
     def test_degenerate_range(self):
-        with pytest.raises(DegenerateRange):
+        with pytest.raises(NgramcastError, match=r"^constant series: quantization grid is undefined$"):
             quantize(TimeSeries(np.array([3.0, 3.0, 3.0])), 4)
 
     def test_invalid_levels(self):
-        with pytest.raises(InvalidLevels):
+        with pytest.raises(NgramcastError, match=r"^levels must be >= 1, got 0$"):
             quantize(TimeSeries(np.array([1.0, 2.0])), 0)
 
     def test_step_underflow(self):
         # a subnormal range split into 1012 levels has a step of 0 in float64
-        with pytest.raises(DegenerateRange, match="too narrow for 1012 levels"):
+        with pytest.raises(NgramcastError, match=(
+            r"^value range \[0\.0, 2\.5e-321\] is too narrow for 1012 levels:"
+            r" the grid step underflows float64$"
+        )):
             quantize(TimeSeries(np.array([0.0, 2.5e-321])), 1012)
 
 
@@ -141,7 +139,7 @@ class TestLinearTrend:
                 assert rss_p >= rss - 1e-15
 
     def test_insufficient_points(self):
-        with pytest.raises(InsufficientPoints):
+        with pytest.raises(NgramcastError, match=r"^need at least 2 points to fit a trend, got 1$"):
             fit_linear_trend([1.0])
 
     def test_detrend_examples(self):
@@ -229,3 +227,7 @@ class TestPearson:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson([1, 2], [1, 2, 3])
+
+    def test_one_point_is_undefined(self):
+        with pytest.raises(UndefinedCorrelation, match=r"^need at least 2 points, got 1$"):
+            pearson([1.0], [2.0])
