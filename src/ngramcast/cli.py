@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import NgramcastError
 from .evaluation import KINDS, GeneratorSpec, generate, holdout_backtest
-from .forecasting import ForecastConfig, HoltConfig, TrendMode, forecast, validate_multiplier
+from .forecasting import ForecastConfig, HoltConfig, TrendMode, forecast
 from .matching import SimilarityCriterion
 from .series import TimeSeries
 
@@ -163,8 +163,6 @@ def _run_forecast(args) -> int:
         warnings.simplefilter("always")
         series, digest = ingest_csv(args.input)
         horizon = args.horizon
-        mult_ok, mult_msg = validate_multiplier(horizon, args.multiplier)
-
         if args.method == "holt":
             config = HoltConfig(horizon, args.xi, args.phi)
         else:
@@ -183,9 +181,9 @@ def _run_forecast(args) -> int:
 
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
-    # warn only where the multiplier sets the window length; the report keeps the check
-    if not mult_ok and isinstance(config, ForecastConfig) and config.window is None:
-        print(f"warning: {mult_msg}", file=sys.stderr)
+    check = None if args.method == "holt" else config.multiplier_check
+    if check and not check[0]:
+        print(f"warning: {check[1]}", file=sys.stderr)
 
     first_index = len(series) - horizon + 1 if holdout else len(series) + 1
     indices = range(first_index, first_index + horizon)
@@ -209,7 +207,7 @@ def _run_forecast(args) -> int:
         "method": result.method,
         "matched_start": result.matched_start,
         "score": result.score,
-        "multiplier_check": {"ok": mult_ok, "message": mult_msg},
+        "multiplier_check": check and {"ok": check[0], "message": check[1]},
         "forecast": {"first_index": first_index, "values": list(result.values)},
     }
     if holdout:

@@ -1,16 +1,12 @@
-"""Exception types. Every library error is an NgramcastError; a subclass exists only where
-code or a documented contract tells it apart, and any other error raises the base class:
-UndefinedCorrelation (the matcher skips the window, error_metrics reports no correlation),
-NoValidCandidate (the matcher excluded every window), SeriesTooShort (one shared message).
+"""Exception types: NgramcastError, the base of every library error, and a subclass only where
+code or a documented contract tells it apart: NoValidCandidate (the matcher excluded every
+window) and SeriesTooShort (one shared message). An outcome that every caller turns into a
+value is a return value, not an exception: pearson returns None for an undefined r.
 """
 
 
 class NgramcastError(Exception):
     """Base class for all library errors."""
-
-
-class UndefinedCorrelation(NgramcastError):
-    """Pearson correlation is undefined: fewer than 2 points, or zero variance in an input."""
 
 
 class SeriesTooShort(NgramcastError):

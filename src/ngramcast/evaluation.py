@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NgramcastError, SeriesTooShort, UndefinedCorrelation
+from .errors import NgramcastError, SeriesTooShort
 from .forecasting import Forecast, ForecastConfig, HoltConfig, forecast
 from .series import TimeSeries, pearson
 
@@ -113,7 +113,7 @@ class BacktestReport:
 
 
 def error_metrics(predicted, actual) -> BacktestReport:
-    """MAE, RMSE, MAPE and correlation of two equal-length sequences."""
+    """MAE, RMSE, MAPE and Pearson r (None where undefined) of two equal-length sequences."""
     f = np.asarray(predicted, dtype=np.float64)
     a = np.asarray(actual, dtype=np.float64)
     if f.size != a.size:
@@ -125,10 +125,7 @@ def error_metrics(predicted, actual) -> BacktestReport:
         mae = float(np.abs(err).mean())
         rmse = float(np.sqrt((err * err).mean()))
         mape = float(np.abs(err[nonzero] / a[nonzero]).mean() * 100.0) if nonzero.any() else None
-        try:
-            corr = pearson(f, a)
-        except UndefinedCorrelation:
-            corr = None
+        corr = pearson(f, a)
     if math.inf in (mae, rmse, mape):  # something overflows; power-of-two scales are exact
         e = math.frexp(np.abs(err).max())[1] or 1025  # frexp(inf) gives 0: f - a overflows
         unit = np.ldexp(f, -e) - np.ldexp(a, -e)  # err * 2^-e, below 1 in size

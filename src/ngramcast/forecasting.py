@@ -58,7 +58,8 @@ class ForecastConfig:
                 raise NgramcastError(f"window must be >= 2, got {self.window}")
             return self.window
         if not self.multiplier * self.horizon < 2**53:  # ceil is exact only below 2^53
-            raise ValueError(f"multiplier {self.multiplier} times horizon {self.horizon} overflows")
+            raise ValueError(f"multiplier {self.multiplier} times horizon {self.horizon} is too"
+                             " large: the window length must be below 2^53")
         n = math.ceil(self.multiplier * self.horizon)
         if n < 2:
             raise NgramcastError(
@@ -66,6 +67,18 @@ class ForecastConfig:
                 f" (horizon={self.horizon}, multiplier={self.multiplier})"
             )
         return n
+
+    @property
+    def multiplier_check(self) -> tuple[bool, str] | None:
+        """Advisory (ok, message) on the multiplier's recommended range for this horizon;
+        message names the range when not ok. None with an explicit window: M sets nothing."""
+        if self.window is not None:
+            return None
+        if self.horizon >= 5:
+            ok, rule = 1.0 <= self.multiplier <= 2.0, "[1, 2] for horizon >= 5"
+        else:
+            ok, rule = 2.0 < self.multiplier <= 5.0, "(2, 5] for horizon < 5"
+        return ok, "ok" if ok else f"multiplier {self.multiplier} outside recommended range {rule}"
 
 
 @dataclass(frozen=True)
@@ -103,18 +116,6 @@ class Forecast:
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("forecast values must all be finite")
         object.__setattr__(self, "values", vals)
-
-
-def validate_multiplier(horizon: int, multiplier: float) -> tuple[bool, str]:
-    """Advisory check of the multiplier against the recommended range for this horizon.
-
-    Returns (ok, message); message names the recommended range when not ok.
-    """
-    if horizon >= 5:
-        ok, rule = 1.0 <= multiplier <= 2.0, "[1, 2] for horizon >= 5"
-    else:
-        ok, rule = 2.0 < multiplier <= 5.0, "(2, 5] for horizon < 5"
-    return ok, "ok" if ok else f"multiplier {multiplier} outside recommended range {rule}"
 
 
 def forecast(series: TimeSeries, config: ForecastConfig | HoltConfig) -> Forecast:

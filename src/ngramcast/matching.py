@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoValidCandidate, SeriesTooShort, UndefinedCorrelation
+from .errors import NoValidCandidate, SeriesTooShort
 from .series import TimeSeries, detrend, fit_linear_trend, pearson
 
 
@@ -46,8 +46,8 @@ def find_best_match(
     Requires K >= N + P + 1, so at least one candidate exists apart from the
     query itself. With detrend_mode, the query and every candidate are
     independently detrended (own least-squares line over local positions)
-    before scoring. Under CORRELATION, candidates with a zero-variance window
-    have no score and are skipped; NoValidCandidate is raised if none survive.
+    before scoring. Under CORRELATION, a window whose r is undefined (pearson gives
+    None: zero variance) is skipped; NoValidCandidate is raised if none survive.
     """
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
@@ -72,11 +72,8 @@ def find_best_match(
                 candidate = detrend(candidate, fit_linear_trend(candidate))
             if difference:
                 score = float(np.abs(query - candidate).sum())
-            else:
-                try:
-                    score = pearson(query, candidate)
-                except UndefinedCorrelation:
-                    continue
+            elif (score := pearson(query, candidate)) is None:
+                continue
             if best_score is None or (score <= best_score if difference else score >= best_score):
                 best_start, best_score = s, score
     if best_start is None:

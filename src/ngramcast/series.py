@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NgramcastError, UndefinedCorrelation
+from .errors import NgramcastError
 
 _TINY = 2.0**-1022  # the smallest normal float64
 
@@ -115,10 +115,10 @@ def detrend(window, trend: LinearTrend) -> np.ndarray:
     return y - trend.at(np.arange(1, y.size + 1))
 
 
-def pearson(a, b) -> float:
+def pearson(a, b) -> float | None:
     """Sample Pearson correlation of two equal-length sequences, clamped to [-1, 1].
 
-    Raises UndefinedCorrelation on fewer than 2 points or when either sequence
+    None where r is undefined: on fewer than 2 points, or when either sequence
     has zero variance (its deviations from its mean are exactly all 0). Any
     finite scale gives the same r: an exact scaling of an input by a power of
     two leaves every bit of r as it is.
@@ -128,7 +128,7 @@ def pearson(a, b) -> float:
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
-        raise UndefinedCorrelation(f"need at least 2 points, got {x.size}")
+        return None
     dx = x - x.mean()
     dy = y - y.mean()
     ssx = float(dx @ dx)
@@ -139,7 +139,7 @@ def pearson(a, b) -> float:
         # that puts its largest magnitude in [0.5, 1): that is exact and leaves r as it
         # is, and each sum is then between 2^-108 and 4n, so it takes the path below.
         if not (dx.any() and dy.any()):
-            raise UndefinedCorrelation("zero variance in input sequence")
+            return None
         ex, ey = (math.frexp(np.abs(v).max())[1] for v in (x, y))
         if ex or ey:  # both are 0 only for an inf or nan input, which no scale mends
             return pearson(np.ldexp(x, -ex), np.ldexp(y, -ey))

@@ -157,7 +157,9 @@ class TestForecastCommand:
         capsys.readouterr()
         rc = main(["forecast", "--input", str(path), "--multiplier", "1", *flags])
         assert rc == 0
-        assert capsys.readouterr().err == ""
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["multiplier_check"] is None
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["forecast", "--input", str(tmp_path / "x.csv"), "--horizon", "5"])
@@ -196,21 +198,29 @@ class TestForecastCommand:
     def test_overflowing_window_length_is_one_line_error(self, fig2_csv, capsys):
         argv = ["forecast", "--input", str(fig2_csv), "--horizon", "5", "--multiplier", "1e308"]
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: multiplier 1e+308 times horizon 5 overflows\n"
+        assert capsys.readouterr().err == (
+            "error: multiplier 1e+308 times horizon 5 is too large:"
+            " the window length must be below 2^53\n")
         # an explicit window takes no product, so the same multiplier runs
         assert main(argv + ["--window", "4"]) == 0
 
     def test_inexact_window_length_is_one_line_error(self, fig2_csv, capsys):
-        # 5e300 is finite, but past 2^53 ceil no longer gives the exact product
-        argv = ["forecast", "--input", str(fig2_csv), "--horizon", "5", "--multiplier", "1e300"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == "error: multiplier 1e+300 times horizon 5 overflows\n"
+        # 5e300 and 1e16 are finite, but past 2^53 ceil no longer gives the exact product
+        cases = [("5", "1e300", "1e+300"), ("4", "2.5e15", "2500000000000000.0")]
+        for horizon, multiplier, shown in cases:
+            argv = ["forecast", "--input", str(fig2_csv), "--horizon", horizon,
+                    "--multiplier", multiplier]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: multiplier {shown} times horizon {horizon} is too large:"
+                " the window length must be below 2^53\n")
 
     @pytest.mark.parametrize("flags, message", [
         (["--horizon", "5", "--window", "1"], "window must be >= 2, got 1"),
         (["--horizon", "1", "--multiplier", "0.5"],
          "derived window length 1 is below 2 (horizon=1, multiplier=0.5)"),
-        (["--horizon", "5", "--multiplier", "1e308"], "multiplier 1e+308 times horizon 5 overflows"),
+        (["--horizon", "5", "--multiplier", "1e308"],
+         "multiplier 1e+308 times horizon 5 is too large: the window length must be below 2^53"),
     ], ids=["window", "derived-window", "overflow"])
     def test_bad_window_fails_on_a_constant_series_too(self, tmp_path, capsys, flags, message):
         for name, rows in [("varied", range(30)), ("constant", [7] * 30)]:

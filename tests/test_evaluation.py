@@ -82,11 +82,18 @@ class TestGenerator:
         # trend direction flips inside the observed span
         assert np.argmax(trend) not in (0, 99)
 
-    def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            GeneratorSpec(kind="sawtooth")
-        with pytest.raises(ValueError):
-            GeneratorSpec(kind="sinusoid", slope=0.1)
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "sawtooth"}, r"^unknown generator kind 'sawtooth'$"),
+        ({"kind": "sinusoid", "slope": 0.1},
+         r"^slope and quadratic must be 0 for kind 'sinusoid'$"),
+        ({"length": 0}, r"^length must be >= 1, got 0$"),
+        ({"amplitude": 0.0}, r"^amplitude must be > 0, got 0\.0$"),
+        ({"amplitude": -1.0}, r"^amplitude must be > 0, got -1\.0$"),
+        ({"noise": -0.5}, r"^noise half-width must be >= 0, got -0\.5$"),
+    ], ids=["kind", "sinusoid-slope", "length", "zero-amplitude", "negative-amplitude", "noise"])
+    def test_kind_validation(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec(**fields)
 
 
 class TestMetrics:
@@ -113,6 +120,10 @@ class TestMetrics:
 
     def test_correlation_none_when_constant(self):
         assert error_metrics([1, 1, 1], [1, 2, 3]).correlation is None
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match=r"^length mismatch: 2 vs 3$"):
+            error_metrics([1, 2], [1, 2, 3])
 
     def test_correlation_none_for_one_point(self):
         m = error_metrics([1.5], [2.0])

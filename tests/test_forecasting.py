@@ -16,7 +16,7 @@ from ngramcast import (
 )
 from ngramcast.errors import NgramcastError, NoValidCandidate, SeriesTooShort
 from ngramcast.evaluation import GeneratorSpec, clean_values, generate
-from ngramcast.forecasting import forecast_holt, validate_multiplier
+from ngramcast.forecasting import forecast_holt
 from ngramcast.series import quantize
 
 DIFF = SimilarityCriterion.DIFFERENCE
@@ -39,34 +39,48 @@ class TestWindowLength:
             ForecastConfig(1, 0.5).window_length
 
     def test_overflowing_product_names_horizon_and_multiplier(self):
-        with pytest.raises(ValueError, match=r"multiplier 1e\+308 times horizon 5 overflows"):
+        message = (r"^multiplier 1e\+308 times horizon 5 is too large:"
+                   r" the window length must be below 2\^53$")
+        with pytest.raises(ValueError, match=message):
             ForecastConfig(5, 1e308).window_length
 
-    def test_inexact_product_names_horizon_and_multiplier(self):
-        # 5e300 is finite, but ceil is exact only below 2^53
-        with pytest.raises(ValueError, match=r"^multiplier 1e\+300 times horizon 5 overflows$"):
-            ForecastConfig(5, 1e300).window_length
+    @pytest.mark.parametrize("horizon, multiplier, shown", [
+        (5, 1e300, r"1e\+300"), (4, 2.5e15, r"2500000000000000\.0")], ids=["5e300", "1e16"])
+    def test_inexact_product_names_horizon_and_multiplier(self, horizon, multiplier, shown):
+        # 5e300 and 1e16 are finite, but ceil is exact only below 2^53
+        message = (rf"^multiplier {shown} times horizon {horizon} is too large:"
+                   r" the window length must be below 2\^53$")
+        with pytest.raises(ValueError, match=message):
+            ForecastConfig(horizon, multiplier).window_length
 
     def test_window_needs_no_product(self):
         assert ForecastConfig(5, 1e308, window=4).window_length == 4
 
+    def test_horizon_below_1(self):
+        with pytest.raises(ValueError, match=r"^horizon must be >= 1, got 0$"):
+            ForecastConfig(horizon=0)
 
-class TestValidateMultiplier:
+
+class TestMultiplierCheck:
     def test_long_horizon_ok(self):
-        assert validate_multiplier(20, 1.0) == (True, "ok")
+        assert ForecastConfig(20, 1.0).multiplier_check == (True, "ok")
 
     def test_short_horizon_ok(self):
-        assert validate_multiplier(3, 4.0) == (True, "ok")
+        assert ForecastConfig(3, 4.0).multiplier_check == (True, "ok")
 
     def test_short_horizon_warns(self):
-        ok, msg = validate_multiplier(3, 1.0)
+        ok, msg = ForecastConfig(3, 1.0).multiplier_check
         assert not ok
         assert "(2, 5]" in msg
 
     def test_long_horizon_warns(self):
-        ok, msg = validate_multiplier(10, 3.0)
+        ok, msg = ForecastConfig(10, 3.0).multiplier_check
         assert not ok
         assert "[1, 2]" in msg
+
+    def test_explicit_window_gives_none(self):
+        # the multiplier sets no window length here, so there is nothing to check
+        assert ForecastConfig(10, 3.0, window=4).multiplier_check is None
 
 
 class TestLinguistic:

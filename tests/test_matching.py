@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ngramcast import SimilarityCriterion, TimeSeries
-from ngramcast.errors import NoValidCandidate, SeriesTooShort, UndefinedCorrelation
+from ngramcast.errors import NoValidCandidate, SeriesTooShort
 from ngramcast.matching import find_best_match
 from ngramcast.series import detrend, fit_linear_trend, pearson, quantize
 
@@ -28,11 +28,7 @@ def brute_force_best(values, n, p, criterion, detrend_mode):
             score = float(np.abs(q - c).sum())
             if best is None or score <= best[1]:
                 best = (s, score)
-        else:
-            try:
-                score = pearson(q, c)
-            except UndefinedCorrelation:
-                continue
+        elif (score := pearson(q, c)) is not None:
             if best is None or score >= best[1]:
                 best = (s, score)
     return best
@@ -151,6 +147,14 @@ class TestCandidateStarts:
         with pytest.raises(SeriesTooShort) as exc:
             find_best_match(TimeSeries(np.arange(40.0)), 20, 20, DIFF)
         assert exc.value.minimum == 41
+
+    @pytest.mark.parametrize("window, horizon, message", [
+        (1, 1, r"^window must be >= 2, got 1$"),
+        (2, 0, r"^horizon must be >= 1, got 0$"),
+    ], ids=["window", "horizon"])
+    def test_window_and_horizon_are_checked(self, window, horizon, message):
+        with pytest.raises(ValueError, match=message):
+            find_best_match(TimeSeries(np.arange(40.0)), window, horizon, DIFF)
 
     def test_query_never_a_candidate(self):
         # the query's own window would score exactly 0 and win; no admissible window does

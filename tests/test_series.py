@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ngramcast.errors import NgramcastError, UndefinedCorrelation
+from ngramcast.errors import NgramcastError
 from ngramcast.series import (
     LinearTrend,
     TimeSeries,
@@ -219,15 +219,12 @@ class TestPearson:
             assert pearson(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_variance(self):
-        with pytest.raises(UndefinedCorrelation):
-            pearson([1, 1, 1], [1, 2, 3])
-        with pytest.raises(UndefinedCorrelation):
-            pearson([1, 2, 3], [4, 4, 4])
+        assert pearson([1, 1, 1], [1, 2, 3]) is None
+        assert pearson([1, 2, 3], [4, 4, 4]) is None
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson([1, 2], [1, 2, 3])
 
     def test_one_point_is_undefined(self):
-        with pytest.raises(UndefinedCorrelation, match=r"^need at least 2 points, got 1$"):
-            pearson([1.0], [2.0])
+        assert pearson([1.0], [2.0]) is None
