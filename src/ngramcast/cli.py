@@ -160,8 +160,7 @@ _MANIFEST_KEYS = ("input", "horizon", "multiplier", "window", "levels", "criteri
 def _run_forecast(args) -> int:
     holdout = args.subcommand == "backtest"
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        series, digest = ingest_csv(args.input)
+        warnings.simplefilter("always")  # a config warns when it is made, so it is made in here
         horizon = args.horizon
         if args.method == "holt":
             config = HoltConfig(horizon, args.xi, args.phi)
@@ -174,6 +173,8 @@ def _run_forecast(args) -> int:
                 trend_mode=TrendMode(args.trend),
                 window=args.window,
             )
+            args.multiplier = config.multiplier  # the manifest records the M the config holds
+        series, digest = ingest_csv(args.input)  # after the config: a bad flag fails first
         if holdout:
             backtest, result = holdout_backtest(series, config)
         else:
@@ -182,8 +183,6 @@ def _run_forecast(args) -> int:
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
     check = None if args.method == "holt" else config.multiplier_check
-    if check and not check[0]:
-        print(f"warning: {check[1]}", file=sys.stderr)
 
     first_index = len(series) - horizon + 1 if holdout else len(series) + 1
     indices = range(first_index, first_index + horizon)

@@ -30,14 +30,15 @@ class TrendMode(enum.Enum):
 
 @dataclass(frozen=True)
 class ForecastConfig:
-    """User-facing parameters for the phrase-matching methods.
+    """User-facing parameters for the phrase-matching methods, all checked when it is made.
 
-    Window length N (window_length) is ceil(multiplier * horizon), an exact
-    product not rounded up, unless an explicit window is given.
+    Window length N (window_length) is ceil(multiplier * horizon), an exact product not rounded
+    up, unless an explicit window is given. The multiplier M defaults to 1.0 for P >= 5 and to
+    5.0 for P < 5; an M outside its recommended range (multiplier_check) is a warning.
     """
 
     horizon: int
-    multiplier: float = 1.0
+    multiplier: float | None = None
     levels: int = 32
     criterion: SimilarityCriterion = SimilarityCriterion.DIFFERENCE
     trend_mode: TrendMode = TrendMode.NONE
@@ -46,27 +47,27 @@ class ForecastConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if self.multiplier is None:
+            object.__setattr__(self, "multiplier", 1.0 if self.horizon >= 5 else 5.0)
         if not self.multiplier > 0:  # nan too
             raise ValueError(f"multiplier must be > 0, got {self.multiplier}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
-
-    @property
-    def window_length(self) -> int:
         if self.window is not None:
             if self.window < 2:
                 raise NgramcastError(f"window must be >= 2, got {self.window}")
-            return self.window
-        if not self.multiplier * self.horizon < 2**53:  # ceil is exact only below 2^53
+        elif not self.multiplier * self.horizon < 2**53:  # ceil is exact only below 2^53
             raise ValueError(f"multiplier {self.multiplier} times horizon {self.horizon} is too"
                              " large: the window length must be below 2^53")
-        n = math.ceil(self.multiplier * self.horizon)
-        if n < 2:
-            raise NgramcastError(
-                f"derived window length {n} is below 2"
-                f" (horizon={self.horizon}, multiplier={self.multiplier})"
-            )
-        return n
+        elif self.window_length < 2:
+            raise NgramcastError(f"derived window length {self.window_length} is below 2"
+                                 f" (horizon={self.horizon}, multiplier={self.multiplier})")
+        elif not (check := self.multiplier_check)[0]:
+            warnings.warn(check[1], stacklevel=3)
+
+    @property
+    def window_length(self) -> int:
+        return math.ceil(self.multiplier * self.horizon) if self.window is None else self.window
 
     @property
     def multiplier_check(self) -> tuple[bool, str] | None:
@@ -121,18 +122,18 @@ class Forecast:
 def forecast(series: TimeSeries, config: ForecastConfig | HoltConfig) -> Forecast:
     """The next config.horizon values; a HoltConfig runs forecast_holt.
 
-    The phrase method quantizes, finds the best-matching phrase and copies its
-    follower. Under TrendMode.LINEAR the windows are matched detrended and the
-    query's trend is transferred onto the follower:
-    forecast[j] = follower[j] - T_cand(N+j) + T_query(N+j), with both trends
-    fitted over local positions 1..N of the quantized windows.
+    The config was checked when it was made, so an error here comes from the series. The phrase
+    method quantizes, finds the best-matching phrase and copies its follower. Under
+    TrendMode.LINEAR the windows are matched detrended and the query's trend is transferred
+    onto the follower: forecast[j] = follower[j] - T_cand(N+j) + T_query(N+j), with both
+    trends fitted over local positions 1..N of the quantized windows.
     """
     if isinstance(config, HoltConfig):
         return forecast_holt(series, config)
     linear = config.trend_mode is TrendMode.LINEAR
     method = "linguo-correlation" if linear else "linguistic"
     p = config.horizon
-    n = config.window_length  # before the shortcut, so a bad window fails on every series
+    n = config.window_length
     if (series.values == series.values[0]).all():
         warnings.warn(
             "constant series: quantization skipped, forecast is the constant",
@@ -146,10 +147,11 @@ def forecast(series: TimeSeries, config: ForecastConfig | HoltConfig) -> Forecas
     begin = match.start - 1
     values = qv[begin + n : begin + n + p]
     if linear:
-        trend_cand = fit_linear_trend(qv[begin : begin + n])
-        trend_query = fit_linear_trend(qv[qv.size - n :])
-        positions = np.arange(n + 1, n + p + 1)
-        values = values - trend_cand.at(positions) + trend_query.at(positions)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below refuses inf and nan
+            trend_cand = fit_linear_trend(qv[begin : begin + n])
+            trend_query = fit_linear_trend(qv[qv.size - n :])
+            positions = np.arange(n + 1, n + p + 1)
+            values = values - trend_cand.at(positions) + trend_query.at(positions)
         if not np.isfinite(values).all():
             raise NgramcastError(
                 f"values up to {np.abs(qv).max():g} are too large for the linear trend:"

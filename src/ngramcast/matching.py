@@ -58,14 +58,14 @@ def find_best_match(
     minimum = window + horizon + 1
     if k < minimum:
         raise SeriesTooShort(k, minimum)
-    query = values[k - window :]
-    if detrend_mode:
-        query = detrend(query, fit_linear_trend(query))
     difference = criterion is SimilarityCriterion.DIFFERENCE
-
     best_start = best_score = None
-    # pearson recovers from an overflow or underflow of its sums of squares
-    with np.errstate(over="ignore", under="ignore"):
+    # an L1 score or a trend fit may overflow or underflow, and a fit of huge values be nan;
+    # forecast refuses a trend transfer that is not finite
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        query = values[k - window :]
+        if detrend_mode:
+            query = detrend(query, fit_linear_trend(query))
         for s in range(1, k - window - horizon + 2):
             candidate = values[s - 1 : s - 1 + window]
             if detrend_mode:

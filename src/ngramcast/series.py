@@ -115,6 +115,7 @@ def detrend(window, trend: LinearTrend) -> np.ndarray:
     return y - trend.at(np.arange(1, y.size + 1))
 
 
+@np.errstate(over="ignore", under="ignore")  # a sum of squares out of range is rescaled below
 def pearson(a, b) -> float | None:
     """Sample Pearson correlation of two equal-length sequences, clamped to [-1, 1].
 

@@ -229,6 +229,25 @@ class TestForecastCommand:
             assert main(["forecast", "--input", str(path)] + flags) == 1, name
             assert capsys.readouterr().err == f"error: {message}\n", name
 
+    def test_window_error_wins_over_a_too_short_series(self, tmp_path, capsys):
+        # the config is checked before the series, in backtest as in forecast
+        path = tmp_path / "short.csv"
+        path.write_text("1\n2\n3\n")
+        for subcommand in ("forecast", "backtest"):
+            argv = [subcommand, "--input", str(path), "--horizon", "5", "--window", "1"]
+            assert main(argv) == 1, subcommand
+            assert capsys.readouterr().err == "error: window must be >= 2, got 1\n", subcommand
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--window", "1"], "window must be >= 2, got 1"),
+        (["--multiplier", "0.1"], "derived window length 1 is below 2"),
+        (["--method", "holt", "--xi", "2"], "xi must be in [0, 1], got 2.0"),
+    ], ids=["window", "derived-window", "xi"])
+    def test_bad_flag_fails_before_the_input_is_read(self, tmp_path, capsys, flags, message):
+        argv = ["backtest", "--input", str(tmp_path / "missing.csv"), "--horizon", "5", *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("rows, flags, message", [
         # max - min overflows float64
         (["1e308", "-1e308", "0"] * 20, [],
@@ -308,6 +327,35 @@ class TestForecastCommand:
             assert rc == 0
             outs.append((out.read_bytes(), report.read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestShortHorizonDefaults:
+    """The default multiplier fits every horizon: no flag is needed below P = 5."""
+
+    @pytest.fixture(scope="class")
+    def paper_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("paper") / "paper.csv"
+        assert main(["generate", "--length", "100", "--noise", "0.15", "--seed", "7",
+                     "--output", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("subcommand", ["forecast", "backtest"])
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 4])
+    def test_runs_quietly(self, paper_csv, capsys, subcommand, horizon):
+        capsys.readouterr()
+        assert main([subcommand, "--input", str(paper_csv), "--horizon", str(horizon)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        assert report["multiplier_check"] == {"ok": True, "message": "ok"}
+        assert report["manifest"]["config"]["multiplier"] == ForecastConfig(horizon).multiplier
+
+    @pytest.mark.parametrize("flags, recorded", [([], None), (["--multiplier", "3"], 3.0)])
+    def test_holt_manifest_records_the_flag_as_given(self, paper_csv, capsys, flags, recorded):
+        # M sets nothing for Holt, so no default is filled in
+        argv = ["forecast", "--input", str(paper_csv), "--horizon", "3", "--method", "holt"]
+        assert main(argv + flags) == 0
+        assert json.loads(capsys.readouterr().out)["manifest"]["config"]["multiplier"] == recorded
 
 
 class TestBacktestCommand:

@@ -36,13 +36,17 @@ class TestWindowLength:
     def test_window_too_small(self):
         message = r"^derived window length 1 is below 2 \(horizon=1, multiplier=0\.5\)$"
         with pytest.raises(NgramcastError, match=message):
-            ForecastConfig(1, 0.5).window_length
+            ForecastConfig(1, 0.5)
+
+    def test_explicit_window_too_small(self):
+        with pytest.raises(NgramcastError, match=r"^window must be >= 2, got 1$"):
+            ForecastConfig(5, window=1)
 
     def test_overflowing_product_names_horizon_and_multiplier(self):
         message = (r"^multiplier 1e\+308 times horizon 5 is too large:"
                    r" the window length must be below 2\^53$")
         with pytest.raises(ValueError, match=message):
-            ForecastConfig(5, 1e308).window_length
+            ForecastConfig(5, 1e308)
 
     @pytest.mark.parametrize("horizon, multiplier, shown", [
         (5, 1e300, r"1e\+300"), (4, 2.5e15, r"2500000000000000\.0")], ids=["5e300", "1e16"])
@@ -51,7 +55,7 @@ class TestWindowLength:
         message = (rf"^multiplier {shown} times horizon {horizon} is too large:"
                    r" the window length must be below 2\^53$")
         with pytest.raises(ValueError, match=message):
-            ForecastConfig(horizon, multiplier).window_length
+            ForecastConfig(horizon, multiplier)
 
     def test_window_needs_no_product(self):
         assert ForecastConfig(5, 1e308, window=4).window_length == 4
@@ -69,14 +73,28 @@ class TestMultiplierCheck:
         assert ForecastConfig(3, 4.0).multiplier_check == (True, "ok")
 
     def test_short_horizon_warns(self):
-        ok, msg = ForecastConfig(3, 1.0).multiplier_check
+        message = r"^multiplier 1\.0 outside recommended range \(2, 5\] for horizon < 5$"
+        with pytest.warns(UserWarning, match=message):
+            ok, msg = ForecastConfig(3, 1.0).multiplier_check
         assert not ok
         assert "(2, 5]" in msg
 
     def test_long_horizon_warns(self):
-        ok, msg = ForecastConfig(10, 3.0).multiplier_check
+        with pytest.warns(UserWarning, match=r"\[1, 2\]"):
+            ok, msg = ForecastConfig(10, 3.0).multiplier_check
         assert not ok
         assert "[1, 2]" in msg
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5, 20])
+    def test_default_fits_the_horizon(self, horizon):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = ForecastConfig(horizon)
+        if horizon < 5:
+            assert 2.0 < config.multiplier <= 5.0
+        else:
+            assert config.multiplier == 1.0
+        assert config.multiplier_check == (True, "ok")
 
     def test_explicit_window_gives_none(self):
         # the multiplier sets no window length here, so there is nothing to check
@@ -209,7 +227,6 @@ class TestLinguoCorrelation:
             == "linguo-correlation"
         )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("trend, exponent", [
         *[(TrendMode.NONE, e) for e in (-1000, -560, -300, 500, 520, 1000)],
         # every detrending step stays a normal float at these scales
@@ -225,11 +242,13 @@ class TestLinguoCorrelation:
         assert got.matched_start == want.matched_start == 56
         assert got.score.hex() == want.score.hex()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_trend_is_a_library_error(self):
+    @pytest.mark.parametrize("criterion", [DIFF, CORR], ids=["difference", "correlation"])
+    def test_overflowing_trend_is_a_library_error(self, criterion):
+        # the trend fits of the query and of every candidate overflow: no numpy warning escapes
         series = TimeSeries(1e306 * np.arange(1, 61))
+        config = ForecastConfig(horizon=20, criterion=criterion, trend_mode=TrendMode.LINEAR)
         with pytest.raises(NgramcastError, match="^values up to 6e\\+307 are too large for the linear"):
-            forecast(series, ForecastConfig(horizon=20, trend_mode=TrendMode.LINEAR))
+            forecast(series, config)
 
 
 class TestHolt:
@@ -310,7 +329,9 @@ def test_forecast_is_finite_or_library_error(shape, exponent, mode, horizon, win
     series = TimeSeries(values)
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy overflow notes, the constant-series note
+            # the constant-series note and the multiplier's range advisory; a RuntimeWarning fails
+            warnings.filterwarnings("ignore", "constant series", UserWarning)
+            warnings.filterwarnings("ignore", "multiplier .* outside recommended", UserWarning)
             if mode == "holt":
                 result = forecast_holt(series, HoltConfig(horizon, *smoothing))
             else:

@@ -205,7 +205,6 @@ class TestPearson:
         assert pearson(np.array(a) * 1e-100, np.array(b) * 1e-100) == pytest.approx(
             expected, abs=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_extreme_scale_against_oracle(self, scale):
         # the sums of squares underflow to 0 or overflow to inf at these scales
