@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NgramcastError
+from .errors import NgramcastError, SeriesTooShort
 from .evaluation import KINDS, GeneratorSpec, generate, holdout_backtest
 from .forecasting import ForecastConfig, HoltConfig, TrendMode, forecast
 from .matching import SimilarityCriterion
@@ -173,12 +173,18 @@ def _run_forecast(args) -> int:
                 trend_mode=TrendMode(args.trend),
                 window=args.window,
             )
-            args.multiplier = config.multiplier  # the manifest records the M the config holds
         series, digest = ingest_csv(args.input)  # after the config: a bad flag fails first
-        if holdout:
-            backtest, result = holdout_backtest(series, config)
-        else:
-            result = forecast(series, config)
+        try:
+            if holdout:
+                backtest, result = holdout_backtest(series, config)
+            else:
+                result = forecast(series, config)
+        except SeriesTooShort as exc:  # name the flag that sets the window the series lacks
+            if args.method == "holt" or args.multiplier is not None or args.window is not None:
+                raise
+            raise NgramcastError(f"{exc}: the default --multiplier {config.multiplier} makes a"
+                                 f" window of {config.window_length} at --horizon {horizon}; a"
+                                 " smaller --multiplier or a --window needs fewer rows") from None
 
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
@@ -201,6 +207,8 @@ def _run_forecast(args) -> int:
         ))
 
     settings = {key: getattr(args, key) for key in _MANIFEST_KEYS} | {"holdout": holdout}
+    if args.method != "holt":  # a phrase run records the M its config holds
+        settings["multiplier"] = config.multiplier
     report = {
         "manifest": _manifest(args.subcommand, settings, digest),
         "method": result.method,

@@ -34,7 +34,8 @@ class ForecastConfig:
 
     Window length N (window_length) is ceil(multiplier * horizon), an exact product not rounded
     up, unless an explicit window is given. The multiplier M defaults to 1.0 for P >= 5 and to
-    5.0 for P < 5; an M outside its recommended range (multiplier_check) is a warning.
+    2.25 for P < 5, the shortest windows in range; an M outside its recommended range
+    (multiplier_check) is a warning.
     """
 
     horizon: int
@@ -48,7 +49,7 @@ class ForecastConfig:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.multiplier is None:
-            object.__setattr__(self, "multiplier", 1.0 if self.horizon >= 5 else 5.0)
+            object.__setattr__(self, "multiplier", 1.0 if self.horizon >= 5 else 2.25)
         if not self.multiplier > 0:  # nan too
             raise ValueError(f"multiplier must be > 0, got {self.multiplier}")
         if self.levels < 1:

@@ -9,6 +9,7 @@ in one exhaustive scan.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,8 @@ def find_best_match(
     query itself. With detrend_mode, the query and every candidate are
     independently detrended (own least-squares line over local positions)
     before scoring. Under CORRELATION, a window whose r is undefined (pearson gives
-    None: zero variance) is skipped; NoValidCandidate is raised if none survive.
+    None: zero variance) is skipped; NoValidCandidate is raised if none survive. A nan score
+    (a trend fit that overflows) loses to every other score.
     """
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
@@ -59,9 +61,10 @@ def find_best_match(
     if k < minimum:
         raise SeriesTooShort(k, minimum)
     difference = criterion is SimilarityCriterion.DIFFERENCE
-    best_start = best_score = None
-    # an L1 score or a trend fit may overflow or underflow, and a fit of huge values be nan;
-    # forecast refuses a trend transfer that is not finite
+    correlate = pearson.__wrapped__  # pearson without its own error state: this scan sets one
+    best_start, best_score = None, math.nan
+    # an L1 score or a trend fit may overflow or underflow, and a fit of huge values be nan:
+    # such a score loses below, and forecast refuses a trend transfer that is not finite
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         query = values[k - window :]
         if detrend_mode:
@@ -72,9 +75,9 @@ def find_best_match(
                 candidate = detrend(candidate, fit_linear_trend(candidate))
             if difference:
                 score = float(np.abs(query - candidate).sum())
-            elif (score := pearson(query, candidate)) is None:
+            elif (score := correlate(query, candidate)) is None:
                 continue
-            if best_score is None or (score <= best_score if difference else score >= best_score):
+            if math.isnan(best_score) or (score <= best_score if difference else score >= best_score):
                 best_start, best_score = s, score
     if best_start is None:
         raise NoValidCandidate(

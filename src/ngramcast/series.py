@@ -115,12 +115,13 @@ def detrend(window, trend: LinearTrend) -> np.ndarray:
     return y - trend.at(np.arange(1, y.size + 1))
 
 
-@np.errstate(over="ignore", under="ignore")  # a sum of squares out of range is rescaled below
+@np.errstate(over="ignore", under="ignore", invalid="ignore")  # rescaled or nan below
 def pearson(a, b) -> float | None:
     """Sample Pearson correlation of two equal-length sequences, clamped to [-1, 1].
 
     None where r is undefined: on fewer than 2 points, or when either sequence
-    has zero variance (its deviations from its mean are exactly all 0). Any
+    has zero variance (its deviations from its mean are exactly all 0); nan for
+    an inf or nan input that does not have zero variance. Any
     finite scale gives the same r: an exact scaling of an input by a power of
     two leaves every bit of r as it is.
     """
@@ -142,7 +143,8 @@ def pearson(a, b) -> float | None:
         if not (dx.any() and dy.any()):
             return None
         ex, ey = (math.frexp(np.abs(v).max())[1] for v in (x, y))
-        if ex or ey:  # both are 0 only for an inf or nan input, which no scale mends
-            return pearson(np.ldexp(x, -ex), np.ldexp(y, -ey))
+        if not (ex or ey):  # both are 0 only for an inf or nan input, which no scale mends
+            return math.nan
+        return pearson(np.ldexp(x, -ex), np.ldexp(y, -ey))
     r = float(dx @ dy) / math.sqrt(ssx * ssy)
     return max(-1.0, min(1.0, r))

@@ -350,6 +350,24 @@ class TestShortHorizonDefaults:
         assert report["multiplier_check"] == {"ok": True, "message": "ok"}
         assert report["manifest"]["config"]["multiplier"] == ForecastConfig(horizon).multiplier
 
+    @pytest.mark.parametrize("horizon, rows", [(1, 5), (2, 8), (3, 11), (4, 14)])
+    def test_minimum_length(self, tmp_path, capsys, horizon, rows):
+        # the default windows N = 3, 5, 7, 9 need N + P + 1 rows; a row fewer names the flag
+        path = tmp_path / "short.csv"
+        argv = ["forecast", "--input", str(path), "--horizon", str(horizon)]
+        values = generate(GeneratorSpec(length=rows, noise=0.15, seed=7)).values.tolist()
+        path.write_text("".join(f"{v!r}\n" for v in values))
+        assert main(argv) == 0
+        path.write_text("".join(f"{v!r}\n" for v in values[1:]))
+        capsys.readouterr()
+        assert main(argv) == 1
+        too_short = f"error: series length {rows - 1} is below the minimum required length {rows}"
+        assert capsys.readouterr().err == (
+            f"{too_short}: the default --multiplier 2.25 makes a window of {2 * horizon + 1} at"
+            f" --horizon {horizon}; a smaller --multiplier or a --window needs fewer rows\n")
+        assert main(argv + ["--multiplier", "2.25"]) == 1  # a flag as given needs no hint
+        assert capsys.readouterr().err == too_short + "\n"
+
     @pytest.mark.parametrize("flags, recorded", [([], None), (["--multiplier", "3"], 3.0)])
     def test_holt_manifest_records_the_flag_as_given(self, paper_csv, capsys, flags, recorded):
         # M sets nothing for Holt, so no default is filled in

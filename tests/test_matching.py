@@ -253,6 +253,16 @@ class TestFindBestMatch:
         with pytest.raises(NoValidCandidate):
             find_best_match(series, 3, 2, CORR)
 
+    @pytest.mark.parametrize("criterion", [DIFF, CORR], ids=["difference", "correlation"])
+    def test_overflowing_candidate_loses(self, criterion):
+        # the trend fits of the first 30 windows overflow to a nan score, which must not win
+        rng = np.random.RandomState(14)
+        vals = np.sin(2 * np.pi * np.arange(1, 201) / 25) + rng.uniform(-0.15, 0.15, size=200)
+        vals[:30] *= 5e306
+        match = find_best_match(TimeSeries(vals), 20, 10, criterion, detrend_mode=True)
+        assert match.start > 30
+        assert np.isfinite(match.score)
+
     def test_brute_force_equivalence(self):
         rng = np.random.RandomState(11)
         for _ in range(25):

@@ -221,6 +221,11 @@ class TestPearson:
         assert pearson([1, 1, 1], [1, 2, 3]) is None
         assert pearson([1, 2, 3], [4, 4, 4]) is None
 
+    def test_non_finite_input_is_nan(self):
+        # not clamped to a perfect 1.0, which would beat every finite r in the matcher
+        assert math.isnan(pearson([math.nan, 1, 2], [1, 2, 4]))
+        assert math.isnan(pearson([1, 2, 4], [1, math.inf, 2]))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson([1, 2], [1, 2, 3])
