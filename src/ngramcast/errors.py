@@ -1,12 +1,12 @@
-"""Exception types: NgramcastError, the base of every library error, and a subclass only where
-code or a documented contract tells it apart: NoValidCandidate (the matcher excluded every
-window) and SeriesTooShort (one shared message). An outcome that every caller turns into a
-value is a return value, not an exception: pearson returns None for an undefined r.
+"""Exception types under one rule: a refused argument raises ValueError, and NgramcastError says
+a valid call met a series the method cannot forecast. Its subclasses NoValidCandidate (the matcher
+excluded every window) and SeriesTooShort (one shared message) are told apart by code. An outcome
+every caller turns into a value is returned instead: pearson returns None for an undefined r.
 """
 
 
 class NgramcastError(Exception):
-    """Base class for all library errors."""
+    """A valid call on a series the method cannot forecast."""
 
 
 class SeriesTooShort(NgramcastError):

@@ -147,11 +147,14 @@ def holdout_backtest(
 ) -> tuple[BacktestReport, Forecast]:
     """Hold out the last config.horizon values, forecast them from the prefix, score the error.
 
-    The method only ever sees the training prefix.
+    The method only ever sees the training prefix; a too-short error counts the held-out tail.
     """
     values = series.values
     horizon = config.horizon
     if values.size <= horizon:
         raise SeriesTooShort(values.size, horizon + 1)
-    result = forecast(TimeSeries(values[: values.size - horizon]), config)
+    try:
+        result = forecast(TimeSeries(values[: values.size - horizon]), config)
+    except SeriesTooShort as exc:  # name the caller's series, not the prefix
+        raise SeriesTooShort(values.size, exc.minimum + horizon) from None
     return error_metrics(result.values, values[values.size - horizon :]), result

@@ -56,13 +56,13 @@ class ForecastConfig:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
         if self.window is not None:
             if self.window < 2:
-                raise NgramcastError(f"window must be >= 2, got {self.window}")
+                raise ValueError(f"window must be >= 2, got {self.window}")
         elif not self.multiplier * self.horizon < 2**53:  # ceil is exact only below 2^53
             raise ValueError(f"multiplier {self.multiplier} times horizon {self.horizon} is too"
                              " large: the window length must be below 2^53")
         elif self.window_length < 2:
-            raise NgramcastError(f"derived window length {self.window_length} is below 2"
-                                 f" (horizon={self.horizon}, multiplier={self.multiplier})")
+            raise ValueError(f"derived window length {self.window_length} is below 2"
+                             f" (horizon={self.horizon}, multiplier={self.multiplier})")
         elif not (check := self.multiplier_check)[0]:
             warnings.warn(check[1], stacklevel=3)
 

@@ -68,7 +68,7 @@ def quantize(series: TimeSeries, levels: int) -> tuple[TimeSeries, QuantizationG
     max, so those two values map to themselves exactly.
     """
     if levels < 1:
-        raise NgramcastError(f"levels must be >= 1, got {levels}")
+        raise ValueError(f"levels must be >= 1, got {levels}")
     vmin = float(series.values.min())
     vmax = float(series.values.max())
     if vmax == vmin:
@@ -100,7 +100,7 @@ def fit_linear_trend(window) -> LinearTrend:
     y = np.asarray(window, dtype=np.float64)
     n = y.size
     if n < 2:
-        raise NgramcastError(f"need at least 2 points to fit a trend, got {n}")
+        raise ValueError(f"need at least 2 points to fit a trend, got {n}")
     x = np.arange(1, n + 1, dtype=np.float64)
     x_mean = x.mean()
     y_mean = y.mean()

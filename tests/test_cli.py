@@ -429,6 +429,46 @@ class TestBacktestCommand:
         kinds = {r.split(",")[0] for r in plot.read_text().strip().splitlines()[1:]}
         assert kinds == {"history", "forecast", "actual"}
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--horizon", "5", "--multiplier", "1"],
+         "series length 7 is below the minimum required length 16"),
+        (["--horizon", "6", "--method", "holt"],
+         "series length 7 is below the minimum required length 8"),
+        (["--horizon", "3"],
+         "series length 7 is below the minimum required length 14: the default --multiplier"
+         " 2.25 makes a window of 7 at --horizon 3; a smaller --multiplier or a --window needs"
+         " fewer rows"),
+    ], ids=["phrase", "holt", "default-multiplier"])
+    def test_too_short_names_the_files_rows(self, tmp_path, capsys, flags, message):
+        # the rows needed count the held-out tail, not just the training prefix
+        path = tmp_path / "s.csv"
+        main(["generate", "--length", "7", "--output", str(path)])
+        capsys.readouterr()
+        assert main(["backtest", "--input", str(path), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("horizon, rows", [(1, 6), (2, 10), (3, 14), (4, 18)])
+    def test_minimum_length_on_the_defaults(self, tmp_path, capsys, horizon, rows):
+        # the default windows N = 2P + 1 need 4P + 2 rows, held-out tail included
+        path = tmp_path / "short.csv"
+        argv = ["backtest", "--input", str(path), "--horizon", str(horizon)]
+        values = generate(GeneratorSpec(length=rows, noise=0.15, seed=7)).values.tolist()
+        path.write_text("".join(f"{v!r}\n" for v in values))
+        assert main(argv) == 0
+        path.write_text("".join(f"{v!r}\n" for v in values[1:]))
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: series length {rows - 1} is below the minimum required length {rows}: ")
+
+    def test_constant_prefix_takes_the_shortcut(self, tmp_path, capsys):
+        # a one-row constant prefix is forecast as the constant, not refused as too short
+        path = tmp_path / "s.csv"
+        path.write_text("4\n" * 6)
+        assert main(["backtest", "--input", str(path), "--horizon", "5"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: constant series: quantization skipped, forecast is the constant\n")
+
 
 class TestMapeOverflow:
     """A backtest report holds a finite MAPE or null, never Infinity."""

@@ -208,3 +208,12 @@ class TestBacktest:
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             holdout_backtest(TimeSeries(np.arange(5.0)), HoltConfig(5))
+
+    @pytest.mark.parametrize("config, minimum", [
+        (ForecastConfig(horizon=5, multiplier=1.0), 16), (HoltConfig(6), 8)], ids=["phrase", "holt"])
+    def test_too_short_prefix_names_the_whole_series(self, config, minimum):
+        # the prefix's own minimum plus the held-out tail, over the caller's 7 values
+        with pytest.raises(SeriesTooShort, match=rf"^series length 7 is below the minimum"
+                                                 rf" required length {minimum}$") as caught:
+            holdout_backtest(generate(GeneratorSpec(length=7)), config)
+        assert caught.value.minimum == minimum

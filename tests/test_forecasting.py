@@ -35,11 +35,11 @@ class TestWindowLength:
 
     def test_window_too_small(self):
         message = r"^derived window length 1 is below 2 \(horizon=1, multiplier=0\.5\)$"
-        with pytest.raises(NgramcastError, match=message):
+        with pytest.raises(ValueError, match=message):
             ForecastConfig(1, 0.5)
 
     def test_explicit_window_too_small(self):
-        with pytest.raises(NgramcastError, match=r"^window must be >= 2, got 1$"):
+        with pytest.raises(ValueError, match=r"^window must be >= 2, got 1$"):
             ForecastConfig(5, window=1)
 
     def test_overflowing_product_names_horizon_and_multiplier(self):
@@ -149,7 +149,8 @@ class TestLinguistic:
     def test_determinism(self):
         rng = np.random.RandomState(22)
         vals = rng.uniform(0, 1, size=70)
-        config = ForecastConfig(horizon=4, multiplier=2.0, levels=12)
+        with pytest.warns(UserWarning, match="outside recommended range"):
+            config = ForecastConfig(horizon=4, multiplier=2.0, levels=12)
         a = forecast(TimeSeries(vals), config)
         b = forecast(TimeSeries(vals), config)
         assert a.values == b.values
@@ -327,18 +328,21 @@ def test_forecast_is_finite_or_library_error(shape, exponent, mode, horizon, win
         values = np.array(shape) * 10.0**exponent
     assume(np.isfinite(values).all())
     series = TimeSeries(values)
-    try:
-        with warnings.catch_warnings():
-            # the constant-series note and the multiplier's range advisory; a RuntimeWarning fails
-            warnings.filterwarnings("ignore", "constant series", UserWarning)
-            warnings.filterwarnings("ignore", "multiplier .* outside recommended", UserWarning)
+    with warnings.catch_warnings():
+        # the constant-series note and the multiplier's range advisory; a RuntimeWarning fails
+        warnings.filterwarnings("ignore", "constant series", UserWarning)
+        warnings.filterwarnings("ignore", "multiplier .* outside recommended", UserWarning)
+        try:
             if mode == "holt":
-                result = forecast_holt(series, HoltConfig(horizon, *smoothing))
+                config = HoltConfig(horizon, *smoothing)
             else:
-                result = forecast(series, ForecastConfig(
-                    horizon, multiplier, levels, criterion=mode[0], trend_mode=mode[1],
-                    window=window))
-    except NgramcastError:
-        return
+                config = ForecastConfig(horizon, multiplier, levels, criterion=mode[0],
+                                        trend_mode=mode[1], window=window)
+        except ValueError:  # a refused argument, not a forecast
+            return
+        try:
+            result = forecast_holt(series, config) if mode == "holt" else forecast(series, config)
+        except NgramcastError:
+            return
     assert len(result.values) == horizon
     assert all(math.isfinite(v) for v in result.values)

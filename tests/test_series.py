@@ -96,7 +96,7 @@ class TestQuantize:
             quantize(TimeSeries(np.array([3.0, 3.0, 3.0])), 4)
 
     def test_invalid_levels(self):
-        with pytest.raises(NgramcastError, match=r"^levels must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=r"^levels must be >= 1, got 0$"):
             quantize(TimeSeries(np.array([1.0, 2.0])), 0)
 
     def test_step_underflow(self):
@@ -139,7 +139,7 @@ class TestLinearTrend:
                 assert rss_p >= rss - 1e-15
 
     def test_insufficient_points(self):
-        with pytest.raises(NgramcastError, match=r"^need at least 2 points to fit a trend, got 1$"):
+        with pytest.raises(ValueError, match=r"^need at least 2 points to fit a trend, got 1$"):
             fit_linear_trend([1.0])
 
     def test_detrend_examples(self):
