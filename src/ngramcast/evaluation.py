@@ -97,8 +97,8 @@ def generate(spec: GeneratorSpec) -> TimeSeries:
 
 @dataclass(frozen=True)
 class BacktestReport:
-    """Error metrics of a forecast against the actual values. Sums and ratios that overflow
-    are rescaled by powers of two: MAPE is None only if its mean exceeds float64."""
+    """Error metrics of a forecast against the actual values, each mean taken at the exact
+    power-of-two scale of its largest term: MAPE is None only if it exceeds float64."""
 
     mae: float
     rmse: float
@@ -107,8 +107,7 @@ class BacktestReport:
     correlation: float | None  # None for one point, or when forecast or actual is constant
 
     def __post_init__(self):
-        # a constant error makes MAE equal RMSE, so allow rounding relative to scale
-        if self.mae > self.rmse + 1e-12 * max(1.0, self.rmse):
+        if self.mae > self.rmse * (1 + 1e-12):  # a constant error may round MAE one ulp up
             raise ValueError("MAE cannot exceed RMSE")
 
 
@@ -118,28 +117,28 @@ def error_metrics(predicted, actual) -> BacktestReport:
     a = np.asarray(actual, dtype=np.float64)
     if f.size != a.size:
         raise ValueError(f"length mismatch: {f.size} vs {a.size}")
+    if f.size == 0:
+        raise ValueError("need at least 1 point to score, got 0")
     nonzero = a != 0.0
-    skipped = int((~nonzero).sum())
-    with np.errstate(over="ignore", under="ignore"):  # the rescale below and pearson recover
+    with np.errstate(over="ignore", under="ignore"):  # a term far below the largest adds 0
         err = f - a
-        mae = float(np.abs(err).mean())
-        rmse = float(np.sqrt((err * err).mean()))
-        mape = float(np.abs(err[nonzero] / a[nonzero]).mean() * 100.0) if nonzero.any() else None
+        halved = np.isinf(err)  # f - a overflows: f / 2 - a / 2 is exact at that size
+        u, d = np.frexp(np.where(halved, np.ldexp(f, -1) - np.ldexp(a, -1), err))  # u * 2^d
+        d = np.where(u != 0.0, d + halved, -4096)  # a zero error: an exponent below any d - x
+        e = int(d.max())
+        unit = np.ldexp(u, d - e)  # error * 2^-e, the largest in [0.5, 1)
+        m, x = np.frexp(a[nonzero])  # actual = m * 2^x, so |error / actual| = |u / m| * 2^(d - x)
+        top = int((d[nonzero] - x).max(initial=-4096))
+        ratio = np.ldexp(np.abs(u[nonzero] / m), d[nonzero] - x - top)  # the largest in (0.5, 2)
         corr = pearson(f, a)
-    if math.inf in (mae, rmse, mape):  # something overflows; power-of-two scales are exact
-        e = math.frexp(np.abs(err).max())[1] or 1025  # frexp(inf) gives 0: f - a overflows
-        unit = np.ldexp(f, -e) - np.ldexp(a, -e)  # err * 2^-e, below 1 in size
-        try:
-            mae = math.ldexp(float(np.abs(unit).mean()), e) if mae == math.inf else mae
-            rmse = math.ldexp(float(np.sqrt((unit * unit).mean())), e) if rmse == math.inf else rmse
-        except OverflowError:
-            raise NgramcastError("the forecast errors are too large: RMSE overflows float64") from None
-        if mape == math.inf:  # |err / a| = |unit / m| * 2^(e - x) where a = m * 2^x
-            m, x = np.frexp(a[nonzero])
-            top = int((e - x).max())
-            mean = float(np.ldexp(np.abs(unit[nonzero] / m), e - x - top).mean() * 100.0)
-            mape = math.ldexp(mean, top) if top + math.frexp(mean)[1] <= 1024 else None
-    return BacktestReport(mae, rmse, mape, skipped, corr)
+    try:
+        mae = math.ldexp(float(np.abs(unit).mean()), e)
+        rmse = math.ldexp(float(np.sqrt((unit * unit).mean())), e)
+    except OverflowError:
+        raise NgramcastError("the forecast errors are too large: RMSE overflows float64") from None
+    mean = float(ratio.mean() * 100.0) if nonzero.any() else None
+    mape = None if mean is None or top + math.frexp(mean)[1] > 1024 else math.ldexp(mean, top)
+    return BacktestReport(mae, rmse, mape, int((~nonzero).sum()), corr)
 
 
 def holdout_backtest(
@@ -151,8 +150,8 @@ def holdout_backtest(
     """
     values = series.values
     horizon = config.horizon
-    if values.size <= horizon:
-        raise SeriesTooShort(values.size, horizon + 1)
+    if values.size < config.MIN_ROWS + horizon:
+        raise SeriesTooShort(values.size, config.MIN_ROWS + horizon)
     try:
         result = forecast(TimeSeries(values[: values.size - horizon]), config)
     except SeriesTooShort as exc:  # name the caller's series, not the prefix

@@ -44,6 +44,7 @@ class ForecastConfig:
     criterion: SimilarityCriterion = SimilarityCriterion.DIFFERENCE
     trend_mode: TrendMode = TrendMode.NONE
     window: int | None = None
+    MIN_ROWS = 1  # the fewest rows forecast: a one-row series is constant
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -90,6 +91,7 @@ class HoltConfig:
     horizon: int
     xi: float = 0.5  # value smoothing
     phi: float = 0.5  # trend smoothing
+    MIN_ROWS = 2  # the fewest rows forecast: x_1 and x_2 start the level and the trend
 
     def __post_init__(self):
         if not 0.0 <= self.xi <= 1.0:
@@ -171,8 +173,8 @@ def forecast_holt(series: TimeSeries, config: HoltConfig) -> Forecast:
     for any xi, phi under this initialization.
     """
     x = memoryview(series.values)  # Python floats one at a time, not a list of all of them
-    if len(x) < 2:
-        raise SeriesTooShort(len(x), 2)
+    if len(x) < config.MIN_ROWS:
+        raise SeriesTooShort(len(x), config.MIN_ROWS)
     xi, phi = config.xi, config.phi
     level = x[0]
     trend = x[1] - x[0]

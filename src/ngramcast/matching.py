@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import NoValidCandidate, SeriesTooShort
 from .series import TimeSeries, detrend, fit_linear_trend, pearson
+_pearson = pearson.__wrapped__  # pearson without its own error state: the scan below sets one
 
 
 class SimilarityCriterion(enum.Enum):
@@ -61,7 +62,6 @@ def find_best_match(
     if k < minimum:
         raise SeriesTooShort(k, minimum)
     difference = criterion is SimilarityCriterion.DIFFERENCE
-    correlate = pearson.__wrapped__  # pearson without its own error state: this scan sets one
     best_start, best_score = None, math.nan
     # an L1 score or a trend fit may overflow or underflow, and a fit of huge values be nan:
     # such a score loses below, and forecast refuses a trend transfer that is not finite
@@ -75,7 +75,7 @@ def find_best_match(
                 candidate = detrend(candidate, fit_linear_trend(candidate))
             if difference:
                 score = float(np.abs(query - candidate).sum())
-            elif (score := correlate(query, candidate)) is None:
+            elif (score := _pearson(query, candidate)) is None:
                 continue
             if math.isnan(best_score) or (score <= best_score if difference else score >= best_score):
                 best_start, best_score = s, score

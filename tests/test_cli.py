@@ -166,6 +166,11 @@ class TestForecastCommand:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_bad_levels_wins_over_a_missing_file(self, tmp_path, capsys):
+        argv = ["forecast", "--input", str(tmp_path / "x.csv"), "--horizon", "5", "--levels", "0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: levels must be >= 1, got 0\n"
+
     @pytest.mark.parametrize("case", ["directory", "utf16", "output-directory"])
     def test_unusable_path_is_one_line_error(self, fig2_csv, tmp_path, capsys, case):
         utf16 = tmp_path / "utf16.csv"
@@ -446,6 +451,28 @@ class TestBacktestCommand:
         capsys.readouterr()
         assert main(["backtest", "--input", str(path), *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("rows, horizon, minimum", [(3, 5, 7), (5, 5, 7), (6, 5, 7), (2, 2, 4)])
+    def test_holt_names_a_two_row_prefix(self, tmp_path, capsys, rows, horizon, minimum):
+        # Holt starts from two rows, so a backtest needs P + 2 rows, however few the file has
+        path = tmp_path / "s.csv"
+        path.write_text("".join(f"{i}\n" for i in range(1, rows + 1)))
+        assert main(["backtest", "--input", str(path), "--method", "holt",
+                     "--horizon", str(horizon)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: series length {rows} is below the minimum required length {minimum}\n")
+
+    def test_tiny_values_keep_rmse(self, tmp_path, capsys):
+        # errors near 1e-200 square to below float64's range, yet RMSE is not 0
+        path = tmp_path / "s.csv"
+        values = (generate(GeneratorSpec(length=60)).values * 1e-200).tolist()
+        path.write_text("".join(f"{v!r}\n" for v in values))
+        assert main(["backtest", "--input", str(path), "--method", "holt", "--horizon", "5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        errors = [f - a for f, a in zip(report["forecast"]["values"], values[-5:])]
+        exact = math.sqrt(sum((e * 1e200) ** 2 for e in errors) / 5) * 1e-200
+        assert report["metrics"]["rmse"] >= report["metrics"]["mae"] > 0.0
+        assert report["metrics"]["rmse"] == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("horizon, rows", [(1, 6), (2, 10), (3, 14), (4, 18)])
     def test_minimum_length_on_the_defaults(self, tmp_path, capsys, horizon, rows):

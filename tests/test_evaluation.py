@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ngramcast import (
+    BacktestReport,
     ForecastConfig,
     GeneratorSpec,
     HoltConfig,
@@ -125,6 +126,15 @@ class TestMetrics:
         with pytest.raises(ValueError, match=r"^length mismatch: 2 vs 3$"):
             error_metrics([1, 2], [1, 2, 3])
 
+    def test_no_points_is_refused(self):
+        with pytest.raises(ValueError, match=r"^need at least 1 point to score, got 0$"):
+            error_metrics([], [])
+
+    def test_mae_above_rmse_is_refused(self):
+        # a relative bound: an RMSE that underflowed to 0 below a nonzero MAE is caught
+        with pytest.raises(ValueError, match=r"^MAE cannot exceed RMSE$"):
+            BacktestReport(6.7e-201, 0.0, None, 0, None)
+
     def test_correlation_none_for_one_point(self):
         m = error_metrics([1.5], [2.0])
         assert (m.mae, m.rmse, m.mape, m.mape_skipped, m.correlation) == (0.5, 0.5, 25.0, 0, None)
@@ -138,15 +148,21 @@ class TestMetrics:
             m = error_metrics(f, a)
             assert m.mae <= m.rmse + 1e-12
 
-    @pytest.mark.parametrize("power", [500, 600, 1019])
+    @pytest.mark.parametrize("power", [500, 600, 1019, -600, -1000])
     def test_scaling_by_a_power_of_two_is_exact(self, power):
-        # from about 2^512 on the squared errors overflow float64, so RMSE must be rescaled
+        # from about 2^512 on the squared errors overflow float64, and below about 2^-511 they
+        # underflow, so RMSE must be rescaled
         rng = np.random.RandomState(31)
         f, a = rng.uniform(-5, 5, size=20), rng.uniform(-5, 5, size=20)
         m, big = error_metrics(f, a), error_metrics(np.ldexp(f, power), np.ldexp(a, power))
         assert big.rmse == math.ldexp(m.rmse, power)
         assert big.mae == math.ldexp(m.mae, power)
         assert (big.mape, big.correlation) == (m.mape, m.correlation)
+
+    def test_errors_far_apart_in_size_keep_their_ratios(self):
+        # each ratio is 1, though one error is 10^400 times the other
+        m = error_metrics([2e200, 2e-200], [1e200, 1e-200])
+        assert (m.mae, m.mape) == (5e199, 100.0)
 
 
 
@@ -168,6 +184,31 @@ class TestMetricsPastFloat64:
             m = error_metrics(f, a)
         exact = sum(abs(Fraction(x) - Fraction(y)) / abs(Fraction(y)) for x, y in zip(f, a))
         assert m.mape == pytest.approx(float(exact / 1000 * 100), rel=1e-14)
+
+    def test_largest_error_in_half_to_one_is_not_taken_for_an_overflow(self):
+        f, a = [0.6 + 3e-309] + [1.0] * 199, [3e-309] + [1.0] * 199
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = error_metrics(f, a)
+        exact = abs(Fraction(f[0]) - Fraction(a[0])) / Fraction(a[0]) / 200 * 100
+        assert m.mape == 9.999999999999998e307
+        assert abs(Fraction(m.mape) - exact) <= Fraction(math.ulp(m.mape))
+
+    def test_large_values_beside_a_small_largest_error(self):
+        # the errors are at most 1e-10, but scaling the inputs by that overflows 1e300
+        f, a = [1e300, 1e-10] + [1.0] * 998, [1e300, 1e-319] + [1.0] * 998
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = error_metrics(f, a)
+        assert m.mape == 1.000011132941258e308
+
+    def test_an_overflowing_error_keeps_the_small_ratios(self):
+        # f - a overflows in the first pair; the last pair's ratio of 1 still counts
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = error_metrics([1.5e308, 0.0, 0.0, 0.0, 2e-300], [-1.5e308, 0.0, 0.0, 0.0, 1e-300])
+        assert (m.mae, m.mape, m.mape_skipped) == (6e307, 150.0, 3)
+        assert m.rmse == pytest.approx(1.5e308 * (2 / math.sqrt(5)), rel=1e-15)
 
     @pytest.mark.parametrize("f, a", [([1.5e308], [-1.5e308]), ([1e308, -1e308], [-1e308, 1e308])])
     def test_errors_past_float64_are_refused(self, f, a):
@@ -208,6 +249,11 @@ class TestBacktest:
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             holdout_backtest(TimeSeries(np.arange(5.0)), HoltConfig(5))
+
+    def test_holt_needs_a_two_row_prefix(self):
+        with pytest.raises(SeriesTooShort) as caught:
+            holdout_backtest(TimeSeries([1.0, 2.0, 3.0]), HoltConfig(5))
+        assert caught.value.minimum == 7
 
     @pytest.mark.parametrize("config, minimum", [
         (ForecastConfig(horizon=5, multiplier=1.0), 16), (HoltConfig(6), 8)], ids=["phrase", "holt"])

@@ -7,6 +7,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from ngramcast import (
+    Forecast,
     ForecastConfig,
     HoltConfig,
     SimilarityCriterion,
@@ -63,6 +64,15 @@ class TestWindowLength:
     def test_horizon_below_1(self):
         with pytest.raises(ValueError, match=r"^horizon must be >= 1, got 0$"):
             ForecastConfig(horizon=0)
+
+    def test_levels_below_1(self):
+        with pytest.raises(ValueError, match=r"^levels must be >= 1, got 0$"):
+            ForecastConfig(5, levels=0)
+
+
+def test_forecast_refuses_values_that_are_not_finite():
+    with pytest.raises(ValueError, match=r"^forecast values must all be finite$"):
+        Forecast((math.nan,), 0, 0.0, "holt")
 
 
 class TestMultiplierCheck:
