@@ -119,7 +119,6 @@ def _add_forecast_flags(parser):
     parser.add_argument("--report", help="JSON report path (default: stdout)")
     parser.add_argument("--horizon", type=int, required=True, metavar="P")
     parser.add_argument("--multiplier", type=float, default=ForecastConfig.multiplier, metavar="M")
-    parser.add_argument("--window", type=int, metavar="N", help="overrides --multiplier")
     parser.add_argument("--levels", type=int, default=ForecastConfig.levels, metavar="S")
     parser.add_argument("--criterion", choices=[c.value for c in SimilarityCriterion],
                         default=ForecastConfig.criterion.value)
@@ -153,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the forecast and backtest flags a report's manifest records, in report order
-_MANIFEST_KEYS = ("input", "horizon", "multiplier", "window", "levels", "criterion", "trend",
-                  "method", "xi", "phi")
+_MANIFEST_KEYS = ("input", "horizon", "multiplier", "levels", "criterion", "trend", "method",
+                  "xi", "phi")
 
 
 def _run_forecast(args) -> int:
@@ -171,7 +170,6 @@ def _run_forecast(args) -> int:
                 levels=args.levels,
                 criterion=SimilarityCriterion(args.criterion),
                 trend_mode=TrendMode(args.trend),
-                window=args.window,
             )
         series, digest = ingest_csv(args.input)  # after the config: a bad flag fails first
         try:
@@ -180,11 +178,11 @@ def _run_forecast(args) -> int:
             else:
                 result = forecast(series, config)
         except SeriesTooShort as exc:  # name the flag that sets the window the series lacks
-            if args.method == "holt" or args.multiplier is not None or args.window is not None:
-                raise
+            if args.multiplier is not None or exc.minimum <= config.MIN_ROWS + horizon:
+                raise  # M as given, or a minimum that no window sets
             raise NgramcastError(f"{exc}: the default --multiplier {config.multiplier} makes a"
                                  f" window of {config.window_length} at --horizon {horizon}; a"
-                                 " smaller --multiplier or a --window needs fewer rows") from None
+                                 " smaller --multiplier needs fewer rows") from None
 
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)

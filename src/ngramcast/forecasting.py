@@ -33,9 +33,9 @@ class ForecastConfig:
     """User-facing parameters for the phrase-matching methods, all checked when it is made.
 
     Window length N (window_length) is ceil(multiplier * horizon), an exact product not rounded
-    up, unless an explicit window is given. The multiplier M defaults to 1.0 for P >= 5 and to
-    2.25 for P < 5, the shortest windows in range; an M outside its recommended range
-    (multiplier_check) is a warning.
+    up; the multiplier (N - 0.5) / horizon gives a window of N. The multiplier M defaults to
+    1.0 for P >= 5 and to 2.25 for P < 5, the shortest windows in range; an M outside its
+    recommended range (multiplier_check) is a warning.
     """
 
     horizon: int
@@ -43,7 +43,6 @@ class ForecastConfig:
     levels: int = 32
     criterion: SimilarityCriterion = SimilarityCriterion.DIFFERENCE
     trend_mode: TrendMode = TrendMode.NONE
-    window: int | None = None
     MIN_ROWS = 1  # the fewest rows forecast: a one-row series is constant
 
     def __post_init__(self):
@@ -55,28 +54,23 @@ class ForecastConfig:
             raise ValueError(f"multiplier must be > 0, got {self.multiplier}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if self.window is not None:
-            if self.window < 2:
-                raise ValueError(f"window must be >= 2, got {self.window}")
-        elif not self.multiplier * self.horizon < 2**53:  # ceil is exact only below 2^53
+        if not self.multiplier * self.horizon < 2**53:  # ceil is exact only below 2^53
             raise ValueError(f"multiplier {self.multiplier} times horizon {self.horizon} is too"
                              " large: the window length must be below 2^53")
-        elif self.window_length < 2:
+        if self.window_length < 2:
             raise ValueError(f"derived window length {self.window_length} is below 2"
                              f" (horizon={self.horizon}, multiplier={self.multiplier})")
-        elif not (check := self.multiplier_check)[0]:
+        if not (check := self.multiplier_check)[0]:
             warnings.warn(check[1], stacklevel=3)
 
     @property
     def window_length(self) -> int:
-        return math.ceil(self.multiplier * self.horizon) if self.window is None else self.window
+        return math.ceil(self.multiplier * self.horizon)
 
     @property
-    def multiplier_check(self) -> tuple[bool, str] | None:
+    def multiplier_check(self) -> tuple[bool, str]:
         """Advisory (ok, message) on the multiplier's recommended range for this horizon;
-        message names the range when not ok. None with an explicit window: M sets nothing."""
-        if self.window is not None:
-            return None
+        message names the range when not ok."""
         if self.horizon >= 5:
             ok, rule = 1.0 <= self.multiplier <= 2.0, "[1, 2] for horizon >= 5"
         else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoValidCandidate, SeriesTooShort
-from .series import TimeSeries, detrend, fit_linear_trend, pearson
+from .series import TimeSeries, detrend as _detrend, fit_linear_trend as _fit_linear_trend, pearson
 _pearson = pearson.__wrapped__  # pearson without its own error state: the scan below sets one
 
 
@@ -68,11 +68,11 @@ def find_best_match(
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         query = values[k - window :]
         if detrend_mode:
-            query = detrend(query, fit_linear_trend(query))
+            query = _detrend(query, _fit_linear_trend(query))
         for s in range(1, k - window - horizon + 2):
             candidate = values[s - 1 : s - 1 + window]
             if detrend_mode:
-                candidate = detrend(candidate, fit_linear_trend(candidate))
+                candidate = _detrend(candidate, _fit_linear_trend(candidate))
             if difference:
                 score = float(np.abs(query - candidate).sum())
             elif (score := _pearson(query, candidate)) is None:

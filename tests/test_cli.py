@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import errno
 import io
@@ -15,7 +16,7 @@ import pytest
 
 import ngramcast
 from ngramcast.errors import NgramcastError
-from ngramcast.cli import ingest_csv, main
+from ngramcast.cli import build_parser, ingest_csv, main
 from ngramcast.evaluation import GeneratorSpec, generate
 from ngramcast.forecasting import ForecastConfig, HoltConfig
 
@@ -148,10 +149,9 @@ class TestForecastCommand:
         assert rc == 0
         assert "(2, 5]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--method", "holt", "--horizon", "3"],
-                                       ["--horizon", "2", "--window", "4"]])
+    @pytest.mark.parametrize("flags", [["--method", "holt", "--horizon", "3"]])
     def test_unused_multiplier_gives_no_warning(self, tmp_path, capsys, flags):
-        # the multiplier sets no window length here, so its advisory range does not apply
+        # Holt has no window for the multiplier to set, so its advisory range does not apply
         path = tmp_path / "s.csv"
         main(["generate", "--length", "100", "--output", str(path)])
         capsys.readouterr()
@@ -206,8 +206,6 @@ class TestForecastCommand:
         assert capsys.readouterr().err == (
             "error: multiplier 1e+308 times horizon 5 is too large:"
             " the window length must be below 2^53\n")
-        # an explicit window takes no product, so the same multiplier runs
-        assert main(argv + ["--window", "4"]) == 0
 
     def test_inexact_window_length_is_one_line_error(self, fig2_csv, capsys):
         # 5e300 and 1e16 are finite, but past 2^53 ceil no longer gives the exact product
@@ -221,12 +219,11 @@ class TestForecastCommand:
                 " the window length must be below 2^53\n")
 
     @pytest.mark.parametrize("flags, message", [
-        (["--horizon", "5", "--window", "1"], "window must be >= 2, got 1"),
         (["--horizon", "1", "--multiplier", "0.5"],
          "derived window length 1 is below 2 (horizon=1, multiplier=0.5)"),
         (["--horizon", "5", "--multiplier", "1e308"],
          "multiplier 1e+308 times horizon 5 is too large: the window length must be below 2^53"),
-    ], ids=["window", "derived-window", "overflow"])
+    ], ids=["derived-window", "overflow"])
     def test_bad_window_fails_on_a_constant_series_too(self, tmp_path, capsys, flags, message):
         for name, rows in [("varied", range(30)), ("constant", [7] * 30)]:
             path = tmp_path / f"{name}.csv"
@@ -238,16 +235,16 @@ class TestForecastCommand:
         # the config is checked before the series, in backtest as in forecast
         path = tmp_path / "short.csv"
         path.write_text("1\n2\n3\n")
+        message = "derived window length 1 is below 2 (horizon=5, multiplier=0.1)"
         for subcommand in ("forecast", "backtest"):
-            argv = [subcommand, "--input", str(path), "--horizon", "5", "--window", "1"]
+            argv = [subcommand, "--input", str(path), "--horizon", "5", "--multiplier", "0.1"]
             assert main(argv) == 1, subcommand
-            assert capsys.readouterr().err == "error: window must be >= 2, got 1\n", subcommand
+            assert capsys.readouterr().err == f"error: {message}\n", subcommand
 
     @pytest.mark.parametrize("flags, message", [
-        (["--window", "1"], "window must be >= 2, got 1"),
         (["--multiplier", "0.1"], "derived window length 1 is below 2"),
         (["--method", "holt", "--xi", "2"], "xi must be in [0, 1], got 2.0"),
-    ], ids=["window", "derived-window", "xi"])
+    ], ids=["derived-window", "xi"])
     def test_bad_flag_fails_before_the_input_is_read(self, tmp_path, capsys, flags, message):
         argv = ["backtest", "--input", str(tmp_path / "missing.csv"), "--horizon", "5", *flags]
         assert main(argv) == 1
@@ -369,7 +366,7 @@ class TestShortHorizonDefaults:
         too_short = f"error: series length {rows - 1} is below the minimum required length {rows}"
         assert capsys.readouterr().err == (
             f"{too_short}: the default --multiplier 2.25 makes a window of {2 * horizon + 1} at"
-            f" --horizon {horizon}; a smaller --multiplier or a --window needs fewer rows\n")
+            f" --horizon {horizon}; a smaller --multiplier needs fewer rows\n")
         assert main(argv + ["--multiplier", "2.25"]) == 1  # a flag as given needs no hint
         assert capsys.readouterr().err == too_short + "\n"
 
@@ -441,8 +438,7 @@ class TestBacktestCommand:
          "series length 7 is below the minimum required length 8"),
         (["--horizon", "3"],
          "series length 7 is below the minimum required length 14: the default --multiplier"
-         " 2.25 makes a window of 7 at --horizon 3; a smaller --multiplier or a --window needs"
-         " fewer rows"),
+         " 2.25 makes a window of 7 at --horizon 3; a smaller --multiplier needs fewer rows"),
     ], ids=["phrase", "holt", "default-multiplier"])
     def test_too_short_names_the_files_rows(self, tmp_path, capsys, flags, message):
         # the rows needed count the held-out tail, not just the training prefix
@@ -451,6 +447,14 @@ class TestBacktestCommand:
         capsys.readouterr()
         assert main(["backtest", "--input", str(path), *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_no_hint_when_no_window_sets_the_minimum(self, tmp_path, capsys):
+        # a backtest at --horizon 3 needs 4 rows whatever the window, so no --multiplier helps
+        path = tmp_path / "s.csv"
+        path.write_text("1\n2\n3\n")
+        assert main(["backtest", "--input", str(path), "--horizon", "3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: series length 3 is below the minimum required length 4\n")
 
     @pytest.mark.parametrize("rows, horizon, minimum", [(3, 5, 7), (5, 5, 7), (6, 5, 7), (2, 2, 4)])
     def test_holt_names_a_two_row_prefix(self, tmp_path, capsys, rows, horizon, minimum):
@@ -589,8 +593,22 @@ class TestDefaults:
         phrase, holt = ForecastConfig(7), HoltConfig(7)
         assert json.loads(capsys.readouterr().out)["manifest"]["config"] == {
             "input": str(path), "horizon": 7, "multiplier": phrase.multiplier,
-            "window": phrase.window, "levels": phrase.levels,
-            "criterion": phrase.criterion.value, "trend": phrase.trend_mode.value,
+            "levels": phrase.levels, "criterion": phrase.criterion.value,
+            "trend": phrase.trend_mode.value,
             "method": "linguistic", "xi": holt.xi, "phi": holt.phi,
             "holdout": subcommand == "backtest",
         }
+
+
+def test_readme_names_only_real_flags():
+    # every --flag the README mentions is an option of ngramcast or one of its subcommands
+    parser = build_parser()
+    options = set(parser._option_string_actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                options |= set(subparser._option_string_actions)
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+    assert "--horizon" in flags
+    assert sorted(flags - options) == []

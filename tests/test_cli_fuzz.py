@@ -34,7 +34,6 @@ FLAGS = {
     "--horizon": (["1", "2", "3", "5", "20"], ["0", "-1", "x"]),
     "--multiplier": (["1", "1.5", "2.5", "5", "0.01", "1e300", "1e308"],
                      ["0", "-1", "nan", "inf"]),
-    "--window": (["2", "3", "10"], ["1", "0"]),
     "--levels": (["1", "2", "8", "32", "1000000000000000000"], ["0"]),
     "--criterion": (["difference", "correlation"], ["other"]),
     "--trend": (["none", "linear"], []),
@@ -113,7 +112,7 @@ def assert_finite_report(text):
 @settings(max_examples=200, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(data=csv_bytes(), call=invocations(), batch=st.integers(1, 8))
-# the seeded draws never pair a 1e308 multiplier with the phrase method and no --window
+# the seeded draws never pair a 1e308 multiplier with the phrase method
 @example(data=b"1\n2\n3\n", call=("forecast", ["--horizon", "5", "--multiplier", "1e308"], {}),
          batch=2)
 def test_every_run_ends_in_one_of_three_ways(data, call, batch, tmp_path, monkeypatch):

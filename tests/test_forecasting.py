@@ -39,10 +39,6 @@ class TestWindowLength:
         with pytest.raises(ValueError, match=message):
             ForecastConfig(1, 0.5)
 
-    def test_explicit_window_too_small(self):
-        with pytest.raises(ValueError, match=r"^window must be >= 2, got 1$"):
-            ForecastConfig(5, window=1)
-
     def test_overflowing_product_names_horizon_and_multiplier(self):
         message = (r"^multiplier 1e\+308 times horizon 5 is too large:"
                    r" the window length must be below 2\^53$")
@@ -58,8 +54,15 @@ class TestWindowLength:
         with pytest.raises(ValueError, match=message):
             ForecastConfig(horizon, multiplier)
 
-    def test_window_needs_no_product(self):
-        assert ForecastConfig(5, 1e308, window=4).window_length == 4
+    @seed(20261019)
+    @settings(deadline=None, database=None)
+    @given(window=st.integers(2, 2**40), horizon=st.integers(1, 10**4))
+    def test_a_multiplier_gives_every_window(self, window, horizon):
+        # M = (N - 0.5) / P, as its repr would be passed to --multiplier, makes a window of N
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # M may be outside its advisory range
+            config = ForecastConfig(horizon, float(repr((window - 0.5) / horizon)))
+        assert config.window_length == window
 
     def test_horizon_below_1(self):
         with pytest.raises(ValueError, match=r"^horizon must be >= 1, got 0$"):
@@ -105,10 +108,6 @@ class TestMultiplierCheck:
         else:
             assert config.multiplier == 1.0
         assert config.multiplier_check == (True, "ok")
-
-    def test_explicit_window_gives_none(self):
-        # the multiplier sets no window length here, so there is nothing to check
-        assert ForecastConfig(10, 3.0, window=4).multiplier_check is None
 
 
 class TestLinguistic:
@@ -327,13 +326,13 @@ MODES = [(c, t) for c in SimilarityCriterion for t in TrendMode] + ["holt"]
 @seed(20221019)
 @settings(max_examples=400, deadline=None, database=None)
 @given(shape=SHAPES, exponent=EXPONENTS, mode=st.sampled_from(MODES),
-       horizon=st.integers(1, 12), window=st.none() | st.integers(2, 12),
+       horizon=st.integers(1, 12),
        multiplier=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 5.0]),
        levels=st.integers(1, 10**6) | st.integers(1, 64),
        smoothing=st.tuples(st.floats(0, 1), st.floats(0, 1)))
-def test_forecast_is_finite_or_library_error(shape, exponent, mode, horizon, window, multiplier,
-                                             levels, smoothing):
-    """Any scale, length, horizon, window and levels: a finite forecast or an NgramcastError."""
+def test_forecast_is_finite_or_library_error(shape, exponent, mode, horizon, multiplier, levels,
+                                             smoothing):
+    """Any scale, length, horizon, multiplier and levels: a finite forecast or an NgramcastError."""
     with np.errstate(over="ignore"):
         values = np.array(shape) * 10.0**exponent
     assume(np.isfinite(values).all())
@@ -347,7 +346,7 @@ def test_forecast_is_finite_or_library_error(shape, exponent, mode, horizon, win
                 config = HoltConfig(horizon, *smoothing)
             else:
                 config = ForecastConfig(horizon, multiplier, levels, criterion=mode[0],
-                                        trend_mode=mode[1], window=window)
+                                        trend_mode=mode[1])
         except ValueError:  # a refused argument, not a forecast
             return
         try:
