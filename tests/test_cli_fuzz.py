@@ -112,7 +112,7 @@ def assert_finite_report(text):
 @settings(max_examples=200, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(data=csv_bytes(), call=invocations(), batch=st.integers(1, 8))
-# the seeded draws never pair a 1e308 multiplier with the phrase method
+# a 1e308 multiplier with the phrase method runs whatever the seeded draws hold
 @example(data=b"1\n2\n3\n", call=("forecast", ["--horizon", "5", "--multiplier", "1e308"], {}),
          batch=2)
 def test_every_run_ends_in_one_of_three_ways(data, call, batch, tmp_path, monkeypatch):
