@@ -149,7 +149,8 @@ class TestForecastCommand:
         assert rc == 0
         assert "(2, 5]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--method", "holt", "--horizon", "3"]])
+    @pytest.mark.parametrize("flags", [["--method", "holt", "--horizon", "3"],
+                                       ["--method", "holt", "--horizon", "2"]])
     def test_unused_multiplier_gives_no_warning(self, tmp_path, capsys, flags):
         # Holt has no window for the multiplier to set, so its advisory range does not apply
         path = tmp_path / "s.csv"
@@ -219,11 +220,13 @@ class TestForecastCommand:
                 " the window length must be below 2^53\n")
 
     @pytest.mark.parametrize("flags, message", [
+        (["--horizon", "5", "--multiplier", "0.2"],
+         "derived window length 1 is below 2 (horizon=5, multiplier=0.2)"),
         (["--horizon", "1", "--multiplier", "0.5"],
          "derived window length 1 is below 2 (horizon=1, multiplier=0.5)"),
         (["--horizon", "5", "--multiplier", "1e308"],
          "multiplier 1e+308 times horizon 5 is too large: the window length must be below 2^53"),
-    ], ids=["derived-window", "overflow"])
+    ], ids=["window", "derived-window", "overflow"])
     def test_bad_window_fails_on_a_constant_series_too(self, tmp_path, capsys, flags, message):
         for name, rows in [("varied", range(30)), ("constant", [7] * 30)]:
             path = tmp_path / f"{name}.csv"
@@ -242,9 +245,10 @@ class TestForecastCommand:
             assert capsys.readouterr().err == f"error: {message}\n", subcommand
 
     @pytest.mark.parametrize("flags, message", [
+        (["--multiplier", "1e308"], "multiplier 1e+308 times horizon 5 is too large"),
         (["--multiplier", "0.1"], "derived window length 1 is below 2"),
         (["--method", "holt", "--xi", "2"], "xi must be in [0, 1], got 2.0"),
-    ], ids=["derived-window", "xi"])
+    ], ids=["window", "derived-window", "xi"])
     def test_bad_flag_fails_before_the_input_is_read(self, tmp_path, capsys, flags, message):
         argv = ["backtest", "--input", str(tmp_path / "missing.csv"), "--horizon", "5", *flags]
         assert main(argv) == 1

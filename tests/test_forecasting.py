@@ -39,6 +39,12 @@ class TestWindowLength:
         with pytest.raises(ValueError, match=message):
             ForecastConfig(1, 0.5)
 
+    def test_window_of_one_at_a_longer_horizon(self):
+        # a multiplier below 2 / P leaves one row of window whatever the horizon
+        message = r"^derived window length 1 is below 2 \(horizon=5, multiplier=0\.2\)$"
+        with pytest.raises(ValueError, match=message):
+            ForecastConfig(5, 0.2)
+
     def test_overflowing_product_names_horizon_and_multiplier(self):
         message = (r"^multiplier 1e\+308 times horizon 5 is too large:"
                    r" the window length must be below 2\^53$")
@@ -108,6 +114,15 @@ class TestMultiplierCheck:
         else:
             assert config.multiplier == 1.0
         assert config.multiplier_check == (True, "ok")
+
+    def test_recipe_multiplier_is_checked_too(self):
+        # a multiplier that picks a window of 4 at horizon 10 is still held to its range
+        with pytest.warns(UserWarning, match=r"\[1, 2\]"):
+            config = ForecastConfig(10, 0.35)
+        assert config.window_length == 4
+        ok, msg = config.multiplier_check
+        assert not ok
+        assert "[1, 2]" in msg
 
 
 class TestLinguistic:
