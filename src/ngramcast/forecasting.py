@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NgramcastError, SeriesTooShort
-from .matching import SimilarityCriterion, find_best_match
+from .matching import _LINE, SimilarityCriterion, find_best_match
 from .series import TimeSeries, fit_linear_trend, quantize
 
 
@@ -57,9 +57,10 @@ class ForecastConfig:
         if not self.multiplier * self.horizon < 2**53:  # ceil is exact only below 2^53
             raise ValueError(f"multiplier {self.multiplier} times horizon {self.horizon} is too"
                              " large: the window length must be below 2^53")
-        if self.window_length < 2:
-            raise ValueError(f"derived window length {self.window_length} is below 2"
-                             f" (horizon={self.horizon}, multiplier={self.multiplier})")
+        if self.window_length < 2 + (linear := self.trend_mode is TrendMode.LINEAR):
+            raise ValueError(f"derived window length {self.window_length} is below {2 + linear}"
+                             f" (horizon={self.horizon}, multiplier={self.multiplier})"
+                             + _LINE * linear)
         if not (check := self.multiplier_check)[0]:
             warnings.warn(check[1], stacklevel=3)
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import NoValidCandidate, SeriesTooShort
 from .series import TimeSeries, detrend as _detrend, fit_linear_trend as _fit_linear_trend, pearson
 _pearson = pearson.__wrapped__  # pearson without its own error state: the scan below sets one
+_LINE = ": a line fits any 2 points, so a detrended window of 2 is only rounding noise"
 
 
 class SimilarityCriterion(enum.Enum):
@@ -48,12 +49,12 @@ def find_best_match(
     Requires K >= N + P + 1, so at least one candidate exists apart from the
     query itself. With detrend_mode, the query and every candidate are
     independently detrended (own least-squares line over local positions)
-    before scoring. Under CORRELATION, a window whose r is undefined (pearson gives
-    None: zero variance) is skipped; NoValidCandidate is raised if none survive. A nan score
-    (a trend fit that overflows) loses to every other score.
+    before scoring, so N >= 3. Under CORRELATION, a constant query raises NoValidCandidate, a
+    window whose r is undefined (pearson gives None) is skipped, and NoValidCandidate is raised
+    if none survive. A nan score (a trend fit that overflows) loses to every other score.
     """
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
+    if window < 2 + detrend_mode:
+        raise ValueError(f"window must be >= {2 + detrend_mode}, got {window}{_LINE * detrend_mode}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     values = series.values
@@ -62,11 +63,13 @@ def find_best_match(
     if k < minimum:
         raise SeriesTooShort(k, minimum)
     difference = criterion is SimilarityCriterion.DIFFERENCE
+    query = values[k - window :]
+    if not difference and (query == query[0]).all():  # detrended, it would be rounding noise
+        raise NoValidCandidate(f"the query, the last {window} values, is constant: r is undefined")
     best_start, best_score = None, math.nan
     # an L1 score or a trend fit may overflow or underflow, and a fit of huge values be nan:
     # such a score loses below, and forecast refuses a trend transfer that is not finite
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        query = values[k - window :]
         if detrend_mode:
             query = _detrend(query, _fit_linear_trend(query))
         for s in range(1, k - window - horizon + 2):
@@ -80,7 +83,5 @@ def find_best_match(
             if math.isnan(best_score) or (score <= best_score if difference else score >= best_score):
                 best_start, best_score = s, score
     if best_start is None:
-        raise NoValidCandidate(
-            "every candidate window was excluded under the correlation criterion"
-        )
+        raise NoValidCandidate("every candidate window was excluded under the correlation criterion")
     return WindowMatch(best_start, best_score)

@@ -8,6 +8,7 @@ from windows at different offsets are directly comparable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,12 +26,11 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.array(self.values, dtype=np.float64)  # a copy
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("series must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(arr)):
             raise ValueError("series values must all be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -101,10 +101,9 @@ def fit_linear_trend(window) -> LinearTrend:
     n = y.size
     if n < 2:
         raise ValueError(f"need at least 2 points to fit a trend, got {n}")
-    x = np.arange(1, n + 1, dtype=np.float64)
-    x_mean = x.mean()
-    y_mean = y.mean()
-    slope = ((x * y).mean() - x_mean * y_mean) / ((x * x).mean() - x_mean * x_mean)
+    x, x_mean, x_var = _positions(n)
+    y_mean = y.sum() / n
+    slope = ((x * y).sum() / n - x_mean * y_mean) / x_var
     intercept = y_mean - slope * x_mean
     return LinearTrend(float(slope), float(intercept))
 
@@ -112,16 +111,26 @@ def fit_linear_trend(window) -> LinearTrend:
 def detrend(window, trend: LinearTrend) -> np.ndarray:
     """Subtract the trend evaluated at the window's own 1-based positions."""
     y = np.asarray(window, dtype=np.float64)
-    return y - trend.at(np.arange(1, y.size + 1))
+    return y - trend.at(_positions(y.size)[0])
+
+
+@functools.lru_cache(maxsize=8)
+@np.errstate(invalid="ignore")  # an empty window's mean is nan, and detrend reads only x
+def _positions(n: int) -> tuple[np.ndarray, np.float64, np.float64]:
+    """Read-only positions x = 1..n with mean(x) and mean(x^2) - mean(x)^2, cached per n."""
+    x = np.arange(1, n + 1, dtype=np.float64)
+    x.setflags(write=False)
+    x_mean = x.sum() / n
+    return x, x_mean, (x * x).sum() / n - x_mean * x_mean
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")  # rescaled or nan below
 def pearson(a, b) -> float | None:
     """Sample Pearson correlation of two equal-length sequences, clamped to [-1, 1].
 
-    None where r is undefined: on fewer than 2 points, or when either sequence
-    has zero variance (its deviations from its mean are exactly all 0); nan for
-    an inf or nan input that does not have zero variance. Any
+    None where r is undefined: on fewer than 2 points, or when the values of either
+    sequence are all equal (zero variance, though a float mean may leave its deviations
+    a few ulps off 0); nan for an inf or nan input otherwise. Any
     finite scale gives the same r: an exact scaling of an input by a power of
     two leaves every bit of r as it is.
     """
@@ -129,19 +138,17 @@ def pearson(a, b) -> float | None:
     y = np.asarray(b, dtype=np.float64)
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    if x.size < 2:
-        return None
-    dx = x - x.mean()
-    dy = y - y.mean()
+    if x.size < 2 or x[0] == x[-1] and (x == x[0]).all() or y[0] == y[-1] and (y == y[0]).all():
+        return None  # the first test is cheap, and most windows fail it
+    dx = x - x.sum() / x.size  # the bits of x.mean(), without its wrapper
+    dy = y - y.sum() / y.size
     ssx = float(dx @ dx)
     ssy = float(dy @ dy)
     if not (ssx >= _TINY and ssy >= _TINY and _TINY <= ssx * ssy < math.inf):
-        # A sum or their product overflows or is not a normal float (0 included).
-        # Unless an input's deviations are all 0, scale each input by the power of two
-        # that puts its largest magnitude in [0.5, 1): that is exact and leaves r as it
-        # is, and each sum is then between 2^-108 and 4n, so it takes the path below.
-        if not (dx.any() and dy.any()):
-            return None
+        # A sum or their product overflows or is not a normal float. Neither input is
+        # constant, so scale each by the power of two that puts its largest magnitude in
+        # [0.5, 1): that is exact and leaves r as it is, and each sum is then between
+        # 2^-108 and 4n, so it takes the path below.
         ex, ey = (math.frexp(np.abs(v).max())[1] for v in (x, y))
         if not (ex or ey):  # both are 0 only for an inf or nan input, which no scale mends
             return math.nan
