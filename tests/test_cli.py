@@ -276,6 +276,19 @@ class TestForecastCommand:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("trend", ["none", "linear"])
+    def test_constant_query_under_correlation_is_one_line_error(self, tmp_path, capsys, trend):
+        # the query quantizes to one grid value; r against the constant windows before it
+        # was rounding noise, 1.0 at start 66
+        path = tmp_path / "s.csv"
+        rows = [math.sin(k / 4) for k in range(1, 61)] + [0.5] * 20
+        path.write_text("".join(f"{v!r}\n" for v in rows))
+        argv = ["forecast", "--input", str(path), "--horizon", "5", "--multiplier", "2",
+                "--levels", "20", "--criterion", "correlation", "--trend", trend]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: the query, the last 10 values, is constant: r is undefined\n")
+
     def test_holdout_flag_is_gone(self, fig2_csv, capsys):
         # backtest is the one way to score against the held-out tail
         rc = main(["forecast", "--input", str(fig2_csv), "--horizon", "20", "--holdout"])
@@ -495,6 +508,19 @@ class TestBacktestCommand:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(
             f"error: series length {rows - 1} is below the minimum required length {rows}: ")
+
+    def test_window_of_2_under_a_linear_trend_is_one_line_error(self, tmp_path, capsys):
+        # a line fits any 2 points; the matcher once picked start 296 here with r = 1.0 from
+        # the rounding left in windows that detrend to 0
+        path = tmp_path / "s.csv"
+        values = generate(GeneratorSpec(length=300, noise=0.15, seed=7)).values.tolist()
+        path.write_text("".join(f"{v!r}\n" for v in values))
+        argv = ["backtest", "--input", str(path), "--horizon", "1", "--multiplier", "1.5",
+                "--criterion", "correlation", "--trend", "linear"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: derived window length 2 is below 3 (horizon=1, multiplier=1.5): a line fits"
+            " any 2 points, so a detrended window of 2 is only rounding noise\n")
 
     def test_constant_prefix_takes_the_shortcut(self, tmp_path, capsys):
         # a one-row constant prefix is forecast as the constant, not refused as too short

@@ -121,6 +121,8 @@ class TestMetrics:
 
     def test_correlation_none_when_constant(self):
         assert error_metrics([1, 1, 1], [1, 2, 3]).correlation is None
+        # 1/3 and 0.1 have inexact float means: r would be rounding noise
+        assert error_metrics(np.full(20, 1 / 3), np.full(20, 0.1)).correlation is None
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match=r"^length mismatch: 2 vs 3$"):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -16,7 +17,7 @@ from ngramcast import (
     forecast,
 )
 from ngramcast.errors import NgramcastError, NoValidCandidate, SeriesTooShort
-from ngramcast.evaluation import GeneratorSpec, clean_values, generate
+from ngramcast.evaluation import GeneratorSpec, clean_values, generate, uniform_noise
 from ngramcast.forecasting import forecast_holt
 from ngramcast.series import quantize
 
@@ -38,6 +39,15 @@ class TestWindowLength:
         message = r"^derived window length 1 is below 2 \(horizon=1, multiplier=0\.5\)$"
         with pytest.raises(ValueError, match=message):
             ForecastConfig(1, 0.5)
+
+    def test_a_linear_trend_needs_a_window_of_3(self):
+        # a line fits any 2 points: N = 2 would match rounding noise
+        message = (r"^derived window length 2 is below 3 \(horizon=1, multiplier=1\.5\): a line"
+                   r" fits any 2 points, so a detrended window of 2 is only rounding noise$")
+        with pytest.raises(ValueError, match=message):
+            ForecastConfig(1, 1.5, trend_mode=TrendMode.LINEAR)
+        with pytest.warns(UserWarning, match="outside recommended"):  # no trend: N = 2 is kept
+            assert ForecastConfig(1, 1.5).window_length == 2
 
     def test_window_of_one_at_a_longer_horizon(self):
         # a multiplier below 2 / P leaves one row of window whatever the horizon
@@ -109,6 +119,7 @@ class TestMultiplierCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             config = ForecastConfig(horizon)
+            assert ForecastConfig(horizon, trend_mode=TrendMode.LINEAR).window_length >= 3
         if horizon < 5:
             assert 2.0 < config.multiplier <= 5.0
         else:
@@ -326,6 +337,24 @@ class TestHolt:
             HoltConfig(0)
         with pytest.raises(ValueError, match="^xi must be in"):
             HoltConfig(0, xi=2.0)
+
+
+def test_k2000_scan_keeps_its_bits():
+    """Start, score and forecast bits of 2000-point scans in all four modes, at three scales.
+
+    Pinned from the scan that rebuilt positions 1..N and took ndarray.mean() for every window;
+    the 100-point golden files never reach a scan this long.
+    """
+    walk = np.cumsum(uniform_noise(1.0, 2000, 16))  # sequential sums: the same bits everywhere
+    digest = hashlib.sha256()
+    for scale, offset in [(1.0, 0.0), (1e-3, 1e6), (1e3, -5.0)]:
+        series = TimeSeries(walk * scale + offset)
+        for criterion in SimilarityCriterion:
+            for trend in TrendMode:
+                f = forecast(series, ForecastConfig(20, 1.0, 64, criterion, trend))
+                digest.update(repr((f.matched_start, f.score.hex(),
+                                    [v.hex() for v in f.values])).encode())
+    assert digest.hexdigest() == "1dabcb12d67b5a8ea098d465eb4a996d77e48b5d75e4918f1102d2ee3d2d0a29"
 
 
 SHAPES = st.one_of(

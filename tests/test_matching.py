@@ -148,13 +148,16 @@ class TestCandidateStarts:
             find_best_match(TimeSeries(np.arange(40.0)), 20, 20, DIFF)
         assert exc.value.minimum == 41
 
-    @pytest.mark.parametrize("window, horizon, message", [
-        (1, 1, r"^window must be >= 2, got 1$"),
-        (2, 0, r"^horizon must be >= 1, got 0$"),
-    ], ids=["window", "horizon"])
-    def test_window_and_horizon_are_checked(self, window, horizon, message):
+    @pytest.mark.parametrize("window, horizon, detrend_mode, message", [
+        (1, 1, False, r"^window must be >= 2, got 1$"),
+        (2, 0, False, r"^horizon must be >= 1, got 0$"),
+        # a line fits any 2 points, so every detrended window of 2 is 0 but for rounding
+        (2, 1, True, r"^window must be >= 3, got 2: a line fits any 2 points, so a detrended"
+                     r" window of 2 is only rounding noise$"),
+    ], ids=["window", "horizon", "detrended-window"])
+    def test_window_and_horizon_are_checked(self, window, horizon, detrend_mode, message):
         with pytest.raises(ValueError, match=message):
-            find_best_match(TimeSeries(np.arange(40.0)), window, horizon, DIFF)
+            find_best_match(TimeSeries(np.arange(40.0)), window, horizon, DIFF, detrend_mode)
 
     def test_query_never_a_candidate(self):
         # the query's own window would score exactly 0 and win; no admissible window does
@@ -252,6 +255,17 @@ class TestFindBestMatch:
         series = TimeSeries(vals)
         with pytest.raises(NoValidCandidate):
             find_best_match(series, 3, 2, CORR)
+
+    @pytest.mark.parametrize("detrend_mode", [False, True], ids=["none", "linear"])
+    def test_constant_query_has_no_correlation(self, detrend_mode):
+        # the float mean of 1/3 is inexact, and a detrended constant is rounding noise: either
+        # would score r = +-1 against the constant windows before the query
+        vals = np.concatenate([np.sin(np.arange(1, 61) / 4), np.full(20, 1 / 3)])
+        with pytest.raises(NoValidCandidate,
+                           match=r"^the query, the last 10 values, is constant: r is undefined$"):
+            find_best_match(TimeSeries(vals), 10, 5, CORR, detrend_mode)
+        # the difference criterion still scores it: the constant windows match it
+        assert find_best_match(TimeSeries(vals), 10, 5, DIFF, detrend_mode).start == 66
 
     @pytest.mark.parametrize("criterion", [DIFF, CORR], ids=["difference", "correlation"])
     def test_overflowing_candidate_loses(self, criterion):

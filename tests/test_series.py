@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from ngramcast.errors import NgramcastError
 from ngramcast.series import (
     LinearTrend,
     TimeSeries,
+    _positions,
     detrend,
     fit_linear_trend,
     pearson,
@@ -106,6 +109,76 @@ class TestQuantize:
             r" the grid step underflows float64$"
         )):
             quantize(TimeSeries(np.array([0.0, 2.5e-321])), 1012)
+
+
+def mean_fit_reference(window):
+    # the trend fit as it was written with ndarray.mean() and a fresh arange on every call
+    y = np.asarray(window, dtype=np.float64)
+    x = np.arange(1, y.size + 1, dtype=np.float64)
+    x_mean = x.mean()
+    y_mean = y.mean()
+    slope = ((x * y).mean() - x_mean * y_mean) / ((x * x).mean() - x_mean * x_mean)
+    return LinearTrend(float(slope), float(y_mean - slope * x_mean))
+
+
+def mean_pearson_reference(a, b):
+    # pearson as it was written with ndarray.mean(), before the all-values-equal rule
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    dx = x - x.mean()
+    dy = y - y.mean()
+    ssx = float(dx @ dx)
+    ssy = float(dy @ dy)
+    tiny = 2.0**-1022
+    if not (ssx >= tiny and ssy >= tiny and tiny <= ssx * ssy < math.inf):
+        if not (dx.any() and dy.any()):
+            return None
+        ex, ey = (math.frexp(np.abs(v).max())[1] for v in (x, y))
+        if not (ex or ey):
+            return math.nan
+        return mean_pearson_reference(np.ldexp(x, -ex), np.ldexp(y, -ey))
+    return max(-1.0, min(1.0, float(dx @ dy) / math.sqrt(ssx * ssy)))
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+# a window of 2..64 values of one magnitude, 1e-300 to 1e300, with mixed signs
+WINDOWS = st.integers(2, 64).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-1, 1), min_size=n, max_size=n),
+    st.lists(st.floats(-1, 1), min_size=n, max_size=n),
+    st.integers(-300, 300) | st.sampled_from([-300, 300]),
+))
+
+
+@seed(20261019)
+@settings(max_examples=600, deadline=None, database=None)
+@given(case=WINDOWS)
+def test_sums_over_the_count_keep_the_bits_of_mean(case):
+    """fit_linear_trend, detrend and pearson give the bits of the ndarray.mean() formulas."""
+    a, b, exponent = case
+    x, y = np.array(a) * 10.0**exponent, np.array(b) * 10.0**exponent
+    with np.errstate(all="ignore"):  # the fit of values near 1e300 overflows on both sides
+        trend, expected = fit_linear_trend(x), mean_fit_reference(x)
+        assert (bits(trend.slope), bits(trend.intercept)) == (
+            bits(expected.slope), bits(expected.intercept))
+        assert detrend(x, trend).tobytes() == (x - trend.at(np.arange(1, x.size + 1))).tobytes()
+        r, expected_r = pearson(x, y), mean_pearson_reference(x, y)
+    if (x == x[0]).all() or (y == y[0]).all():
+        assert r is None
+    else:
+        assert bits(r) == bits(expected_r)
+
+
+def test_cached_positions_are_read_only():
+    # every fit and detrend of a window of 7 reads these arrays: a write would poison them all
+    x, x_mean, x_var = _positions(7)
+    assert x.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0] and (x_mean, x_var) == (4.0, 4.0)
+    assert not x.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        x[0] = 0.0
+    assert _positions(7)[0] is x
 
 
 class TestLinearTrend:
@@ -220,6 +293,20 @@ class TestPearson:
     def test_zero_variance(self):
         assert pearson([1, 1, 1], [1, 2, 3]) is None
         assert pearson([1, 2, 3], [4, 4, 4]) is None
+        # the float means of these constants are inexact, so their deviations are not all 0
+        assert pearson(np.full(20, 0.3), np.full(20, 0.7)) is None
+        assert pearson(np.full(20, 0.3), np.arange(20.0)) is None
+        assert pearson(np.arange(20.0), np.full(20, 1 / 3)) is None
+
+    def test_all_values_equal_is_undefined(self):
+        # None exactly when an input's values are all equal, whatever its float mean rounds to
+        rng = np.random.default_rng(16)
+        for _ in range(1950):
+            n = int(rng.integers(2, 41))
+            constant = np.full(n, rng.uniform(-1, 1) * 10.0 ** int(rng.integers(-300, 301)))
+            other = rng.uniform(-1, 1, n)
+            assert pearson(constant, other) is None
+            assert pearson(other, constant) is None
 
     def test_non_finite_input_is_nan(self):
         # not clamped to a perfect 1.0, which would beat every finite r in the matcher
