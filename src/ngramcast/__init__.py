@@ -8,11 +8,10 @@ Every other name stays reachable through its module.
 
 __version__ = "0.1.0"
 
-from .errors import NgramcastError
 from .evaluation import BacktestReport, GeneratorSpec, generate, holdout_backtest
 from .forecasting import Forecast, ForecastConfig, HoltConfig, TrendMode, forecast
 from .matching import SimilarityCriterion
-from .series import TimeSeries
+from .series import NgramcastError, TimeSeries
 
 __all__ = [
     "BacktestReport",

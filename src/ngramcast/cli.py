@@ -8,8 +8,6 @@ a CSV is parsed in pieces and written _BATCH lines at a time, so peak memory is
 about the input text plus a few float64 arrays, not one Python object per row.
 """
 
-from __future__ import annotations
-
 import argparse
 import dataclasses
 import hashlib
@@ -24,11 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NgramcastError, SeriesTooShort
 from .evaluation import KINDS, GeneratorSpec, generate, holdout_backtest
 from .forecasting import ForecastConfig, HoltConfig, TrendMode, forecast
 from .matching import SimilarityCriterion
-from .series import TimeSeries
+from .series import NgramcastError, SeriesTooShort, TimeSeries
 
 # rows written per batch; a CSV is parsed in pieces of about this many characters
 _BATCH = 1 << 14

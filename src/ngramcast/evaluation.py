@@ -14,16 +14,13 @@ stepper's output after i steps, computed for all i at once in uint64 (mod 2^64):
     u = (2 * (z / 2^64) - 1) * half_width   (float64)
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NgramcastError, SeriesTooShort
 from .forecasting import Forecast, ForecastConfig, HoltConfig, forecast
-from .series import TimeSeries, pearson
+from .series import NgramcastError, SeriesTooShort, TimeSeries, pearson
 
 KINDS = ("sinusoid", "sinusoid-linear", "sinusoid-quadratic")
 

@@ -9,8 +9,6 @@ follower: the candidate's own extrapolated trend is subtracted first so it is
 not double-counted.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import warnings
@@ -18,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NgramcastError, SeriesTooShort
 from .matching import _LINE, SimilarityCriterion, find_best_match
-from .series import TimeSeries, fit_linear_trend, quantize
+from .series import NgramcastError, SeriesTooShort, TimeSeries, fit_linear_trend, quantize
 
 
 class TrendMode(enum.Enum):

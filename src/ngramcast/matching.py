@@ -6,16 +6,14 @@ phrase, the last N values, is prepared once and compared with every candidate
 in one exhaustive scan.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoValidCandidate, SeriesTooShort
-from .series import TimeSeries, detrend as _detrend, fit_linear_trend as _fit_linear_trend, pearson
+from .series import (NoValidCandidate, SeriesTooShort, TimeSeries, detrend as _detrend,
+                     fit_linear_trend as _fit_linear_trend, pearson)
 _pearson = pearson.__wrapped__  # pearson without its own error state: the scan below sets one
 _LINE = ": a line fits any 2 points, so a detrended window of 2 is only rounding noise"
 
@@ -50,8 +48,9 @@ def find_best_match(
     query itself. With detrend_mode, the query and every candidate are
     independently detrended (own least-squares line over local positions)
     before scoring, so N >= 3. Under CORRELATION, a constant query raises NoValidCandidate, a
-    window whose r is undefined (pearson gives None) is skipped, and NoValidCandidate is raised
-    if none survive. A nan score (a trend fit that overflows) loses to every other score.
+    window whose raw values are all equal or whose r is undefined (pearson gives None) is
+    skipped, and NoValidCandidate is raised if none survive. A nan score (a trend fit that
+    overflows) loses to every other score.
     """
     if window < 2 + detrend_mode:
         raise ValueError(f"window must be >= {2 + detrend_mode}, got {window}{_LINE * detrend_mode}")
@@ -74,6 +73,8 @@ def find_best_match(
             query = _detrend(query, _fit_linear_trend(query))
         for s in range(1, k - window - horizon + 2):
             candidate = values[s - 1 : s - 1 + window]
+            if not difference and candidate[0] == candidate[-1] and (candidate == candidate[0]).all():
+                continue  # r is undefined, and detrended it would be a ramp of rounding residues
             if detrend_mode:
                 candidate = _detrend(candidate, _fit_linear_trend(candidate))
             if difference:

@@ -1,4 +1,4 @@
-"""Core numeric primitives: series container, quantization, linear trends, Pearson correlation.
+"""Core numeric primitives: series, quantization, linear trends, Pearson r, the error types.
 
 Index convention: series positions are reported 1-based everywhere in the public
 API (position k runs 1..K); slicing into numpy arrays is 0-based internally.
@@ -6,17 +6,34 @@ Regressors for trend fitting are the window-local serial numbers 1..n, so trends
 from windows at different offsets are directly comparable.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NgramcastError
-
 _TINY = 2.0**-1022  # the smallest normal float64
+
+
+class NgramcastError(Exception):
+    """A valid call on a series the method cannot forecast; a refused argument is a ValueError.
+
+    That is the one error rule. The subclasses NoValidCandidate (the matcher excluded every
+    window) and SeriesTooShort (one shared message) are told apart by code. An outcome every
+    caller turns into a value is returned instead: pearson returns None for an undefined r.
+    """
+
+
+class SeriesTooShort(NgramcastError):
+    """Series shorter than the minimum required by the operation."""
+
+    def __init__(self, length: int, minimum: int):
+        self.minimum = minimum
+        super().__init__(f"series length {length} is below the minimum required length {minimum}")
+
+
+class NoValidCandidate(NgramcastError):
+    """Every candidate window was excluded by the similarity criterion."""
 
 
 @dataclass(frozen=True)

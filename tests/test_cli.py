@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 import ngramcast
-from ngramcast.errors import NgramcastError
 from ngramcast.cli import build_parser, ingest_csv, main
 from ngramcast.evaluation import GeneratorSpec, generate
 from ngramcast.forecasting import ForecastConfig, HoltConfig
+from ngramcast.series import NgramcastError
 
 
 class TestIngestCsv:
@@ -226,7 +226,8 @@ class TestForecastCommand:
          "derived window length 1 is below 2 (horizon=1, multiplier=0.5)"),
         (["--horizon", "5", "--multiplier", "1e308"],
          "multiplier 1e+308 times horizon 5 is too large: the window length must be below 2^53"),
-    ], ids=["window", "derived-window", "overflow"])
+        (["--horizon", "5", "--multiplier=0"], "multiplier must be > 0, got 0.0"),
+    ], ids=["window", "derived-window", "overflow", "zero-multiplier"])
     def test_bad_window_fails_on_a_constant_series_too(self, tmp_path, capsys, flags, message):
         for name, rows in [("varied", range(30)), ("constant", [7] * 30)]:
             path = tmp_path / f"{name}.csv"
@@ -288,6 +289,17 @@ class TestForecastCommand:
         assert main(argv) == 1
         assert capsys.readouterr().err == (
             "error: the query, the last 10 values, is constant: r is undefined\n")
+
+    def test_constant_candidates_under_correlation_are_one_line_error(self, tmp_path, capsys):
+        # both windows are ten values of 1/3; detrended, their rounding residues would score
+        # r = 0.0474 and match at start 2
+        path = tmp_path / "s.csv"
+        path.write_text("".join(f"{v!r}\n" for v in [1 / 3] * 11 + [0.9]))
+        argv = ["forecast", "--input", str(path), "--horizon", "1", "--multiplier", "9.5",
+                "--criterion", "correlation", "--trend", "linear"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: every candidate window was excluded under the correlation criterion\n")
 
     def test_holdout_flag_is_gone(self, fig2_csv, capsys):
         # backtest is the one way to score against the held-out tail

@@ -14,8 +14,8 @@ from ngramcast import (
     generate,
     holdout_backtest,
 )
-from ngramcast.errors import NgramcastError, SeriesTooShort
 from ngramcast.evaluation import clean_values, error_metrics, uniform_noise
+from ngramcast.series import NgramcastError, SeriesTooShort
 
 MASK64 = (1 << 64) - 1
 
@@ -91,7 +91,10 @@ class TestGenerator:
         ({"amplitude": 0.0}, r"^amplitude must be > 0, got 0\.0$"),
         ({"amplitude": -1.0}, r"^amplitude must be > 0, got -1\.0$"),
         ({"noise": -0.5}, r"^noise half-width must be >= 0, got -0\.5$"),
-    ], ids=["kind", "sinusoid-slope", "length", "zero-amplitude", "negative-amplitude", "noise"])
+        ({"kind": "sinusoid-linear", "quadratic": 0.1},
+         r"^quadratic must be 0 for kind 'sinusoid-linear'$"),
+    ], ids=["kind", "sinusoid-slope", "length", "zero-amplitude", "negative-amplitude", "noise",
+            "linear-quadratic"])
     def test_kind_validation(self, fields, message):
         with pytest.raises(ValueError, match=message):
             GeneratorSpec(**fields)

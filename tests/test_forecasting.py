@@ -16,10 +16,9 @@ from ngramcast import (
     TrendMode,
     forecast,
 )
-from ngramcast.errors import NgramcastError, NoValidCandidate, SeriesTooShort
 from ngramcast.evaluation import GeneratorSpec, clean_values, generate, uniform_noise
 from ngramcast.forecasting import forecast_holt
-from ngramcast.series import quantize
+from ngramcast.series import NgramcastError, NoValidCandidate, SeriesTooShort, quantize
 
 DIFF = SimilarityCriterion.DIFFERENCE
 CORR = SimilarityCriterion.CORRELATION
@@ -54,6 +53,12 @@ class TestWindowLength:
         message = r"^derived window length 1 is below 2 \(horizon=5, multiplier=0\.2\)$"
         with pytest.raises(ValueError, match=message):
             ForecastConfig(5, 0.2)
+
+    @pytest.mark.parametrize("multiplier, shown", [(0, "0"), (-1.0, r"-1\.0"), (math.nan, "nan")],
+                             ids=["zero", "negative", "nan"])
+    def test_multiplier_not_above_0(self, multiplier, shown):
+        with pytest.raises(ValueError, match=rf"^multiplier must be > 0, got {shown}$"):
+            ForecastConfig(5, multiplier)
 
     def test_overflowing_product_names_horizon_and_multiplier(self):
         message = (r"^multiplier 1e\+308 times horizon 5 is too large:"

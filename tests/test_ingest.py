@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 from ngramcast import cli
 from ngramcast.cli import ingest_csv, main
-from ngramcast.errors import NgramcastError
-from ngramcast.series import TimeSeries
+from ngramcast.series import NgramcastError, TimeSeries
 
 
 def reference_ingest_csv(path):

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from ngramcast import SimilarityCriterion, TimeSeries
-from ngramcast.errors import NoValidCandidate, SeriesTooShort
 from ngramcast.matching import find_best_match
-from ngramcast.series import detrend, fit_linear_trend, pearson, quantize
+from ngramcast.series import (
+    NoValidCandidate,
+    SeriesTooShort,
+    detrend,
+    fit_linear_trend,
+    pearson,
+    quantize,
+)
 
 DIFF = SimilarityCriterion.DIFFERENCE
 CORR = SimilarityCriterion.CORRELATION
@@ -76,30 +82,36 @@ def exact_scores(idx, n, p, criterion, detrend_mode):
 
 @functools.cache
 def exact_oracle_cases():
-    """(mode, matcher start or None, exact best-score class) on quantized random series."""
-    rng = np.random.default_rng(2024)
+    """(mode, matcher start or None, exact best-score class) on quantized random series.
+
+    400 short series, then 24 long ones on 2 to 4 levels, where exact ties are dense.
+    """
     cases = []
-    for _ in range(400):
-        k, levels = int(rng.integers(12, 60)), int(rng.integers(2, 9))
-        n, p = int(rng.integers(3, 6)), int(rng.integers(1, 4))
-        quantized, grid = quantize(TimeSeries(rng.uniform(-1, 1, k)), levels)
-        idx = np.rint((quantized.values - grid.min) / grid.step).astype(int)
-        for crit in (DIFF, CORR):
-            for dt in (False, True):
-                scores = exact_scores(idx, n, p, crit, dt)
-                valid = {s: v for s, v in scores.items() if v is not None}
-                best = (min if crit is DIFF else max)(valid.values(), default=None)
-                ties = [s for s, v in valid.items() if v == best]
-                try:
-                    start = find_best_match(quantized, n, p, crit, dt).start
-                except NoValidCandidate:
-                    start = None
-                cases.append((f"{crit.value}-{'linear' if dt else 'none'}", start, ties))
+    blocks = [(2024, 400, (12, 60), (2, 9), (3, 6)), (7, 24, (800, 1500), (2, 5), (3, 8))]
+    for seed, count, k_range, levels_range, n_range in blocks:
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            k, levels = int(rng.integers(*k_range)), int(rng.integers(*levels_range))
+            n, p = int(rng.integers(*n_range)), int(rng.integers(1, 4))
+            quantized, grid = quantize(TimeSeries(rng.uniform(-1, 1, k)), levels)
+            idx = np.rint((quantized.values - grid.min) / grid.step).astype(int)
+            for crit in (DIFF, CORR):
+                for dt in (False, True):
+                    scores = exact_scores(idx, n, p, crit, dt)
+                    valid = {s: v for s, v in scores.items() if v is not None}
+                    best = (min if crit is DIFF else max)(valid.values(), default=None)
+                    ties = [s for s, v in valid.items() if v == best]
+                    try:
+                        start = find_best_match(quantized, n, p, crit, dt).start
+                    except NoValidCandidate:
+                        start = None
+                    cases.append((f"{crit.value}-{'linear' if dt else 'none'}", start, ties))
     return cases
 
 
 def test_pick_has_exact_best_score():
     """On quantized series the matcher never picks a window that is exactly worse."""
+    assert len(exact_oracle_cases()) == 4 * (400 + 24)
     for mode, start, ties in exact_oracle_cases():
         if ties:
             assert start in ties, (mode, start, ties)
@@ -266,6 +278,18 @@ class TestFindBestMatch:
             find_best_match(TimeSeries(vals), 10, 5, CORR, detrend_mode)
         # the difference criterion still scores it: the constant windows match it
         assert find_best_match(TimeSeries(vals), 10, 5, DIFF, detrend_mode).start == 66
+
+    @pytest.mark.parametrize("detrend_mode", [False, True], ids=["none", "linear"])
+    @pytest.mark.parametrize("tail", [0.9, -0.4])
+    def test_constant_candidate_has_no_correlation(self, detrend_mode, tail):
+        # both candidates are ten values of 1/3, so r is undefined; detrended, they are a ramp
+        # of rounding residues whose r against the query would be +-0.0474
+        vals = [1 / 3] * 11 + [tail]
+        with pytest.raises(NoValidCandidate, match=(
+                r"^every candidate window was excluded under the correlation criterion$")):
+            find_best_match(TimeSeries(vals), 10, 1, CORR, detrend_mode)
+        # the difference criterion still scores them, and the later of the two tied wins
+        assert find_best_match(TimeSeries(vals), 10, 1, DIFF, detrend_mode).start == 2
 
     @pytest.mark.parametrize("criterion", [DIFF, CORR], ids=["difference", "correlation"])
     def test_overflowing_candidate_loses(self, criterion):

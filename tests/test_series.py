@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from ngramcast.errors import NgramcastError
 from ngramcast.series import (
     LinearTrend,
+    NgramcastError,
     TimeSeries,
     _positions,
     detrend,
