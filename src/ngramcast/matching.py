@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import (NoValidCandidate, SeriesTooShort, TimeSeries, detrend as _detrend,
-                     fit_linear_trend as _fit_linear_trend, pearson)
+from .series import (NoValidCandidate, SeriesTooShort, TimeSeries, _fit_rows, _positions,
+                     detrend as _detrend, fit_linear_trend as _fit_linear_trend, pearson)
 _pearson = pearson.__wrapped__  # pearson without its own error state: the scan below sets one
+_CHUNK = 1 << 14  # values in one chunk of the difference scan, whatever N: 128 KB a temporary
 _LINE = ": a line fits any 2 points, so a detrended window of 2 is only rounding noise"
 
 
@@ -65,23 +66,32 @@ def find_best_match(
     query = values[k - window :]
     if not difference and (query == query[0]).all():  # detrended, it would be rounding noise
         raise NoValidCandidate(f"the query, the last {window} values, is constant: r is undefined")
+    rows = np.lib.stride_tricks.sliding_window_view(values[: k - horizon], window)  # candidates
     best_start, best_score = None, math.nan
     # an L1 score or a trend fit may overflow or underflow, and a fit of huge values be nan:
     # such a score loses below, and forecast refuses a trend transfer that is not finite
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if detrend_mode:
             query = _detrend(query, _fit_linear_trend(query))
-        for s in range(1, k - window - horizon + 2):
-            candidate = values[s - 1 : s - 1 + window]
-            if not difference and candidate[0] == candidate[-1] and (candidate == candidate[0]).all():
+        if difference:  # each chunk is C-contiguous, so each row's key has the 1-d window's bits
+            keys = np.empty(len(rows))
+            step = max(1, _CHUNK // window)  # rows a chunk
+            for lo in range(0, keys.size, step):
+                chunk = rows[lo : lo + step].copy()
+                if detrend_mode:
+                    slope, intercept = _fit_rows(chunk)
+                    chunk -= slope[:, None] * _positions(window)[0] + intercept[:, None]
+                keys[lo : lo + step] = np.abs(query - chunk).sum(axis=1)
+            best_score = float(np.fmin.reduce(keys))  # least key not nan; all nan: last start
+            return WindowMatch(keys.size - int(np.argmax(keys[::-1] == best_score)), best_score)
+        for s, candidate in enumerate(rows, start=1):
+            if candidate[0] == candidate[-1] and (candidate == candidate[0]).all():
                 continue  # r is undefined, and detrended it would be a ramp of rounding residues
             if detrend_mode:
                 candidate = _detrend(candidate, _fit_linear_trend(candidate))
-            if difference:
-                score = float(np.abs(query - candidate).sum())
-            elif (score := _pearson(query, candidate)) is None:
+            if (score := _pearson(query, candidate)) is None:
                 continue
-            if math.isnan(best_score) or (score <= best_score if difference else score >= best_score):
+            if math.isnan(best_score) or score >= best_score:
                 best_start, best_score = s, score
     if best_start is None:
         raise NoValidCandidate("every candidate window was excluded under the correlation criterion")

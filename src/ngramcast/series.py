@@ -115,14 +115,17 @@ def fit_linear_trend(window) -> LinearTrend:
     A = mean(y) - B*mean(x).
     """
     y = np.asarray(window, dtype=np.float64)
-    n = y.size
-    if n < 2:
-        raise ValueError(f"need at least 2 points to fit a trend, got {n}")
-    x, x_mean, x_var = _positions(n)
-    y_mean = y.sum() / n
-    slope = ((x * y).sum() / n - x_mean * y_mean) / x_var
-    intercept = y_mean - slope * x_mean
+    if y.size < 2:
+        raise ValueError(f"need at least 2 points to fit a trend, got {y.size}")
+    slope, intercept = _fit_rows(y)
     return LinearTrend(float(slope), float(intercept))
+
+
+def _fit_rows(y: np.ndarray) -> tuple:  # fit_linear_trend's slope and intercept, for each row
+    x, x_mean, x_var = _positions(y.shape[-1])
+    y_mean = np.add.reduce(y, -1) / x.size  # y.sum(axis=-1), without its wrapper
+    slope = (np.add.reduce(x * y, -1) / x.size - x_mean * y_mean) / x_var
+    return slope, y_mean - slope * x_mean
 
 
 def detrend(window, trend: LinearTrend) -> np.ndarray:

@@ -1,11 +1,15 @@
 import functools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from ngramcast import SimilarityCriterion, TimeSeries
-from ngramcast.matching import find_best_match
+from ngramcast import GeneratorSpec, SimilarityCriterion, TimeSeries, generate
+from ngramcast.matching import _CHUNK, find_best_match
 from ngramcast.series import (
     NoValidCandidate,
     SeriesTooShort,
@@ -38,6 +42,32 @@ def brute_force_best(values, n, p, criterion, detrend_mode):
             if best is None or score >= best[1]:
                 best = (s, score)
     return best
+
+
+def window_differences(values, n, p, detrend_mode):
+    """The difference score of every admissible start, each window scored on its own."""
+    k = len(values)
+    query = values[k - n :]
+    with np.errstate(all="ignore"):  # a fit or an L1 sum of values near 1e308 overflows
+        if detrend_mode:
+            query = detrend(query, fit_linear_trend(query))
+        scores = []
+        for s in range(1, k - n - p + 2):
+            cand = values[s - 1 : s - 1 + n]
+            if detrend_mode:
+                cand = detrend(cand, fit_linear_trend(cand))
+            scores.append(float(np.abs(query - cand).sum()))
+    return scores
+
+
+def loop_difference_pick(scores):
+    """(start, score) by the per-window scan's rule: `<=` keeps the latest of the best, and a
+    nan best is replaced by whatever comes next, so nan loses and an all-nan scan ends last."""
+    best_start, best_score = None, math.nan
+    for s, score in enumerate(scores, start=1):
+        if math.isnan(best_score) or score <= best_score:
+            best_start, best_score = s, score
+    return best_start, best_score
 
 
 def exact_scores(idx, n, p, criterion, detrend_mode):
@@ -132,6 +162,63 @@ def with_query_at(values, start, n):
     out = np.array(values, dtype=float)
     out[start - 1 : start - 1 + n] = out[-n:]
     return TimeSeries(out)
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(chunks=st.sampled_from([(1, -1), (1, 0), (1, 1), (2, 37)]),
+       n=st.sampled_from(range(3, 65)),  # uniform: hypothesis' integers favour the slow small n
+       p=st.integers(1, 4), exponent=st.integers(-300, 300) | st.sampled_from([-300, 300]),
+       offset=st.just(0.0) | st.floats(-1e12, 1e12), on_grid=st.booleans(),
+       data_seed=st.integers(0, 2**32 - 1))
+def test_difference_scan_keeps_the_bits_of_a_window_loop(chunks, n, p, exponent, offset, on_grid,
+                                                         data_seed):
+    """Across chunk boundaries, the pick and the bits of its score are the per-window scan's."""
+    count = chunks[0] * (_CHUNK // n) + chunks[1]  # candidates: a chunk holds _CHUNK // n rows
+    walk = np.cumsum(np.random.default_rng(data_seed).normal(size=count + n + p - 1))
+    if on_grid:  # half steps: exact ties are common, as on a quantized series
+        walk = np.round(2 * walk) / 2
+    series = TimeSeries(walk * 10.0**exponent + offset)
+    for detrend_mode in (False, True):
+        start, score = loop_difference_pick(window_differences(series.values, n, p, detrend_mode))
+        match = find_best_match(series, n, p, DIFF, detrend_mode)
+        assert (match.start, np.float64(match.score).tobytes()) == (
+            start, np.float64(score).tobytes()), (detrend_mode, match, start, score)
+
+
+A = 5e307  # windows of +-A detrend to an L1 sum that overflows; the fit of [A, A, A] overflows
+
+
+@pytest.mark.parametrize("values, classes, start", [
+    ([1e308, -A, A, A, A, A, A, 0.0], "inf nan nan nan nan", 1),  # nan loses to inf
+    ([A, 1e308, -A, A, A, A, A, 0.0], "nan inf nan nan nan", 2),
+    ([-A, A, 0.0, A, -A, 1e308, -A, 0.0], "inf nan inf nan nan", 3),  # equal infs: the latest
+    ([1e308, 0.0, -A, A, 1e308, -A, A, 0.0], "inf inf nan nan inf", 5),
+    ([A] * 7 + [0.0], "nan nan nan nan nan", 5),  # every score nan: the last start
+], ids=["inf-then-nan", "nan-then-inf", "inf-tie-then-nan", "inf-tie-last", "all-nan"])
+def test_difference_nan_and_inf_rule(values, classes, start):
+    """A nan score loses to every other, inf included; equal scores go to the latest start."""
+    scores = window_differences(np.array(values), 3, 1, detrend_mode=True)
+    assert " ".join("nan" if math.isnan(v) else repr(v) for v in scores) == classes
+    match = find_best_match(TimeSeries(values), 3, 1, DIFF, detrend_mode=True)
+    assert (match.start, repr(match.score)) == (start, repr(scores[start - 1]))
+
+
+@pytest.mark.parametrize("detrend_mode", [False, True], ids=["none", "linear"])
+def test_difference_scan_memory_is_bounded(detrend_mode):
+    """At K = 10^6 the scan holds its keys and one chunk, not a K-by-N window matrix.
+
+    Unchunked, the window matrix alone would be N * K * 8 bytes = 160 MB at N = 20.
+    """
+    k = 10**6
+    series, _ = quantize(generate(GeneratorSpec(length=k, noise=0.15, seed=1)), 32)
+    tracemalloc.start()
+    try:
+        find_best_match(series, 20, 20, DIFF, detrend_mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * k * 8
 
 
 class TestCandidateStarts:
