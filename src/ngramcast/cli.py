@@ -32,8 +32,8 @@ _BATCH = 1 << 14
 
 
 def ingest_csv(path) -> tuple[TimeSeries, str]:
-    """Read a series from a one-column (value) or two-column (label,value) CSV, and
-    return it with the SHA-256 of the file's bytes: the file is read once.
+    """Read a series from a one-column (value) or two-column (label,value) UTF-8 CSV (a
+    leading BOM is dropped), with the SHA-256 of the file's bytes: the file is read once.
 
     A header row is auto-detected: if the value field of the first row is not
     numeric, the row is skipped. A two-column row's value is the text after its
@@ -43,7 +43,7 @@ def ingest_csv(path) -> tuple[TimeSeries, str]:
     data = Path(path).read_bytes()
     digest = hashlib.sha256(data).hexdigest()
     try:
-        text = data.decode("utf-8")  # all of it, so a decoding error wins over a bad row
+        text = data.decode("utf-8-sig")  # all of it, so a decoding error wins over a bad row
     except UnicodeDecodeError:
         raise NgramcastError(f"{path} is not UTF-8 text") from None
     del data  # free the bytes before the text is parsed

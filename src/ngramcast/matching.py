@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import (NoValidCandidate, SeriesTooShort, TimeSeries, _fit_rows, _positions,
-                     detrend as _detrend, fit_linear_trend as _fit_linear_trend, pearson)
+from .series import NoValidCandidate, SeriesTooShort, TimeSeries, _detrend_rows, pearson
 _pearson = pearson.__wrapped__  # pearson without its own error state: the scan below sets one
-_CHUNK = 1 << 14  # values in one chunk of the difference scan, whatever N: 128 KB a temporary
+_CHUNK = 1 << 14  # values in one chunk of the scan, whatever N: 128 KB a temporary
 _LINE = ": a line fits any 2 points, so a detrended window of 2 is only rounding noise"
 
 
@@ -43,15 +42,18 @@ def find_best_match(
     criterion: SimilarityCriterion,
     detrend_mode: bool = False,
 ) -> WindowMatch:
-    """Best-scoring candidate; ties go to the most recent (largest) start.
+    """The valid window with the least key that is not nan; ties go to the latest start.
 
-    Requires K >= N + P + 1, so at least one candidate exists apart from the
-    query itself. With detrend_mode, the query and every candidate are
-    independently detrended (own least-squares line over local positions)
-    before scoring, so N >= 3. Under CORRELATION, a constant query raises NoValidCandidate, a
-    window whose raw values are all equal or whose r is undefined (pearson gives None) is
-    skipped, and NoValidCandidate is raised if none survive. A nan score (a trend fit that
-    overflows) loses to every other score.
+    A window's key is its score under DIFFERENCE and -r under CORRELATION; the reported
+    score is the key, negated back under CORRELATION. If every valid key is nan (a trend fit
+    of values near float64's limit that overflows), the last valid start wins; if no window
+    is valid, NoValidCandidate is raised.
+
+    Requires K >= N + P + 1, so at least one candidate exists apart from the query itself.
+    With detrend_mode, the query and every candidate are independently detrended (own
+    least-squares line over local positions) before scoring, so N >= 3. Under CORRELATION,
+    a constant query raises NoValidCandidate, and a window whose raw values are all equal
+    or whose r is undefined (pearson gives None) is not valid.
     """
     if window < 2 + detrend_mode:
         raise ValueError(f"window must be >= {2 + detrend_mode}, got {window}{_LINE * detrend_mode}")
@@ -67,32 +69,27 @@ def find_best_match(
     if not difference and (query == query[0]).all():  # detrended, it would be rounding noise
         raise NoValidCandidate(f"the query, the last {window} values, is constant: r is undefined")
     rows = np.lib.stride_tricks.sliding_window_view(values[: k - horizon], window)  # candidates
-    best_start, best_score = None, math.nan
-    # an L1 score or a trend fit may overflow or underflow, and a fit of huge values be nan:
-    # such a score loses below, and forecast refuses a trend transfer that is not finite
+    keys, valid = np.empty(len(rows)), np.ones(len(rows), dtype=bool)
+    step = max(1, _CHUNK // window)  # rows a chunk
+    # an L1 sum or a fit may overflow or be nan: such a key loses, and forecast refuses the fit
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if detrend_mode:
-            query = _detrend(query, _fit_linear_trend(query))
-        if difference:  # each chunk is C-contiguous, so each row's key has the 1-d window's bits
-            keys = np.empty(len(rows))
-            step = max(1, _CHUNK // window)  # rows a chunk
-            for lo in range(0, keys.size, step):
-                chunk = rows[lo : lo + step].copy()
-                if detrend_mode:
-                    slope, intercept = _fit_rows(chunk)
-                    chunk -= slope[:, None] * _positions(window)[0] + intercept[:, None]
-                keys[lo : lo + step] = np.abs(query - chunk).sum(axis=1)
-            best_score = float(np.fmin.reduce(keys))  # least key not nan; all nan: last start
-            return WindowMatch(keys.size - int(np.argmax(keys[::-1] == best_score)), best_score)
-        for s, candidate in enumerate(rows, start=1):
-            if candidate[0] == candidate[-1] and (candidate == candidate[0]).all():
-                continue  # r is undefined, and detrended it would be a ramp of rounding residues
+            query = _detrend_rows(query.copy())
+        for lo in range(0, keys.size, step):
+            chunk = rows[lo : lo + step].copy()  # C-contiguous, so each key has a 1-d window's bits
+            if not difference:  # r is undefined; detrended, it would be a ramp of rounding residues
+                valid[lo : lo + step] = (chunk != chunk[:, :1]).any(axis=1)
             if detrend_mode:
-                candidate = _detrend(candidate, _fit_linear_trend(candidate))
-            if (score := _pearson(query, candidate)) is None:
-                continue
-            if math.isnan(best_score) or score >= best_score:
-                best_start, best_score = s, score
-    if best_start is None:
+                _detrend_rows(chunk)
+            if difference:
+                keys[lo : lo + step] = np.abs(query - chunk).sum(axis=1)
+            else:  # -r, or nan where r is undefined
+                r = [_pearson(query, row) if ok else None for row, ok in zip(chunk, valid[lo:])]
+                valid[lo : lo + step] = [v is not None for v in r]
+                keys[lo : lo + step] = [math.nan if v is None else -v for v in r]
+    if not valid.any():
         raise NoValidCandidate("every candidate window was excluded under the correlation criterion")
-    return WindowMatch(best_start, best_score)
+    least = np.fmin.reduce(keys)  # an excluded window's key is nan
+    start = keys.size - int(np.argmax((valid if math.isnan(least) else keys == least)[::-1]))
+    score = float(keys[start - 1])
+    return WindowMatch(start, score if difference else -score)

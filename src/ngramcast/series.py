@@ -6,7 +6,6 @@ Regressors for trend fitting are the window-local serial numbers 1..n, so trends
 from windows at different offsets are directly comparable.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -117,31 +116,29 @@ def fit_linear_trend(window) -> LinearTrend:
     y = np.asarray(window, dtype=np.float64)
     if y.size < 2:
         raise ValueError(f"need at least 2 points to fit a trend, got {y.size}")
-    slope, intercept = _fit_rows(y)
-    return LinearTrend(float(slope), float(intercept))
+    _, slope, intercept = _fit_rows(y)
+    return LinearTrend(float(slope[0]), float(intercept[0]))
 
 
-def _fit_rows(y: np.ndarray) -> tuple:  # fit_linear_trend's slope and intercept, for each row
-    x, x_mean, x_var = _positions(y.shape[-1])
-    y_mean = np.add.reduce(y, -1) / x.size  # y.sum(axis=-1), without its wrapper
-    slope = (np.add.reduce(x * y, -1) / x.size - x_mean * y_mean) / x_var
-    return slope, y_mean - slope * x_mean
+def _fit_rows(y: np.ndarray) -> tuple:  # positions 1..n, and fit_linear_trend's line of each row
+    x = np.arange(1, y.shape[-1] + 1, dtype=np.float64)
+    x_mean = x.sum() / x.size
+    y_mean = np.add.reduce(y, -1, keepdims=True) / x.size  # y.sum(axis=-1), without its wrapper
+    x_var = (x * x).sum() / x.size - x_mean * x_mean
+    slope = (np.add.reduce(x * y, -1, keepdims=True) / x.size - x_mean * y_mean) / x_var
+    return x, slope, y_mean - slope * x_mean
+
+
+def _detrend_rows(y: np.ndarray) -> np.ndarray:  # detrend(w, fit_linear_trend(w)) per row, in place
+    x, slope, intercept = _fit_rows(y)
+    y -= slope * x + intercept
+    return y
 
 
 def detrend(window, trend: LinearTrend) -> np.ndarray:
     """Subtract the trend evaluated at the window's own 1-based positions."""
     y = np.asarray(window, dtype=np.float64)
-    return y - trend.at(_positions(y.size)[0])
-
-
-@functools.lru_cache(maxsize=8)
-@np.errstate(invalid="ignore")  # an empty window's mean is nan, and detrend reads only x
-def _positions(n: int) -> tuple[np.ndarray, np.float64, np.float64]:
-    """Read-only positions x = 1..n with mean(x) and mean(x^2) - mean(x)^2, cached per n."""
-    x = np.arange(1, n + 1, dtype=np.float64)
-    x.setflags(write=False)
-    x_mean = x.sum() / n
-    return x, x_mean, (x * x).sum() / n - x_mean * x_mean
+    return y - trend.at(np.arange(1, y.size + 1))
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")  # rescaled or nan below

@@ -26,7 +26,7 @@ def reference_ingest_csv(path):
     """Per-row reference: the first row is a header when its value field is not a number."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # a leading byte order mark is not text
     except UnicodeDecodeError:
         raise NgramcastError(f"{path} is not UTF-8 text") from None
     rows = [line for line in text.splitlines() if line.strip()]
@@ -122,6 +122,21 @@ def test_first_bad_row_wins(text, tmp_path):
     path.write_bytes(text.encode("utf-8"))
     assert outcome(ingest_csv, path) == outcome(reference_ingest_csv, path)
     assert outcome(ingest_csv, path)[1].startswith("row ")
+
+
+@pytest.mark.parametrize("text, values", [
+    ("\ufeff1.5\n2.5\n3.5\n", [1.5, 2.5, 3.5]),
+    ("\ufeffvalue\n1.5\n2.5\n", [1.5, 2.5]),
+    ("\ufeffdate,value\na,1.5\n", [1.5]),
+], ids=["values", "header", "two-columns"])
+def test_leading_byte_order_mark_is_dropped(text, values, tmp_path):
+    # a BOM glued to the first value once made that row look like a header, and lost it
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    series, digest = ingest_csv(path)
+    assert series.values.tolist() == values
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert outcome(ingest_csv, path) == outcome(reference_ingest_csv, path)
 
 
 @seed(20221019)

@@ -70,6 +70,37 @@ def loop_difference_pick(scores):
     return best_start, best_score
 
 
+def window_correlations(values, n, p, detrend_mode):
+    """r of every admissible start, each window scored on its own; None where r is undefined.
+
+    A window whose raw values are all equal is None before it is detrended."""
+    k = len(values)
+    query = values[k - n :]
+    with np.errstate(all="ignore"):  # a fit of values near 1e308 overflows
+        if detrend_mode:
+            query = detrend(query, fit_linear_trend(query))
+        scores = []
+        for s in range(1, k - n - p + 2):
+            cand = values[s - 1 : s - 1 + n]
+            if (cand == cand[0]).all():
+                scores.append(None)
+                continue
+            if detrend_mode:
+                cand = detrend(cand, fit_linear_trend(cand))
+            scores.append(pearson(query, cand))
+    return scores
+
+
+def loop_correlation_pick(scores):
+    """(start, r) by a running best over the defined r: `>=` keeps the latest of the best, and
+    a nan best is replaced by whatever comes next; (None, nan) when no r is defined."""
+    best_start, best_score = None, math.nan
+    for s, score in enumerate(scores, start=1):
+        if score is not None and (math.isnan(best_score) or score >= best_score):
+            best_start, best_score = s, score
+    return best_start, best_score
+
+
 def exact_scores(idx, n, p, criterion, detrend_mode):
     """Exact score of every admissible start on integer grid indices; None when undefined.
 
@@ -164,24 +195,52 @@ def with_query_at(values, start, n):
     return TimeSeries(out)
 
 
-@seed(20261020)
-@settings(max_examples=300, deadline=None, database=None)
-@given(chunks=st.sampled_from([(1, -1), (1, 0), (1, 1), (2, 37)]),
-       n=st.sampled_from(range(3, 65)),  # uniform: hypothesis' integers favour the slow small n
-       p=st.integers(1, 4), exponent=st.integers(-300, 300) | st.sampled_from([-300, 300]),
-       offset=st.just(0.0) | st.floats(-1e12, 1e12), on_grid=st.booleans(),
-       data_seed=st.integers(0, 2**32 - 1))
-def test_difference_scan_keeps_the_bits_of_a_window_loop(chunks, n, p, exponent, offset, on_grid,
-                                                         data_seed):
-    """Across chunk boundaries, the pick and the bits of its score are the per-window scan's."""
+SCAN_CASES = dict(
+    chunks=st.sampled_from([(1, -1), (1, 0), (1, 1), (2, 37)]),
+    n=st.sampled_from(range(3, 65)),  # uniform: hypothesis' integers favour the slow small n
+    p=st.integers(1, 4), exponent=st.integers(-300, 300) | st.sampled_from([-300, 300]),
+    offset=st.just(0.0) | st.floats(-1e12, 1e12), on_grid=st.booleans(),
+    data_seed=st.integers(0, 2**32 - 1))
+
+
+def scan_series(chunks, n, p, exponent, offset, on_grid, data_seed):
+    """A random walk with chunks[0] chunks of candidates plus chunks[1]."""
     count = chunks[0] * (_CHUNK // n) + chunks[1]  # candidates: a chunk holds _CHUNK // n rows
     walk = np.cumsum(np.random.default_rng(data_seed).normal(size=count + n + p - 1))
     if on_grid:  # half steps: exact ties are common, as on a quantized series
         walk = np.round(2 * walk) / 2
-    series = TimeSeries(walk * 10.0**exponent + offset)
+    return TimeSeries(walk * 10.0**exponent + offset)
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(**SCAN_CASES)
+def test_difference_scan_keeps_the_bits_of_a_window_loop(chunks, n, p, exponent, offset, on_grid,
+                                                         data_seed):
+    """Across chunk boundaries, the pick and the bits of its score are the per-window scan's."""
+    series = scan_series(chunks, n, p, exponent, offset, on_grid, data_seed)
     for detrend_mode in (False, True):
         start, score = loop_difference_pick(window_differences(series.values, n, p, detrend_mode))
         match = find_best_match(series, n, p, DIFF, detrend_mode)
+        assert (match.start, np.float64(match.score).tobytes()) == (
+            start, np.float64(score).tobytes()), (detrend_mode, match, start, score)
+
+
+@seed(20261021)
+@settings(max_examples=100, deadline=None, database=None)
+@given(**SCAN_CASES)
+def test_correlation_scan_keeps_the_bits_of_a_window_loop(chunks, n, p, exponent, offset,
+                                                          on_grid, data_seed):
+    """Across chunk boundaries, the pick and the bits of its r are the per-window scan's."""
+    series = scan_series(chunks, n, p, exponent, offset, on_grid, data_seed)
+    for detrend_mode in (False, True):
+        scores = window_correlations(series.values, n, p, detrend_mode)
+        start, score = loop_correlation_pick(scores)
+        if start is None:
+            with pytest.raises(NoValidCandidate):
+                find_best_match(series, n, p, CORR, detrend_mode)
+            continue
+        match = find_best_match(series, n, p, CORR, detrend_mode)
         assert (match.start, np.float64(match.score).tobytes()) == (
             start, np.float64(score).tobytes()), (detrend_mode, match, start, score)
 
@@ -204,17 +263,41 @@ def test_difference_nan_and_inf_rule(values, classes, start):
     assert (match.start, repr(match.score)) == (start, repr(scores[start - 1]))
 
 
-@pytest.mark.parametrize("detrend_mode", [False, True], ids=["none", "linear"])
-def test_difference_scan_memory_is_bounded(detrend_mode):
-    """At K = 10^6 the scan holds its keys and one chunk, not a K-by-N window matrix.
+@pytest.mark.parametrize("values, classes, start", [
+    ([1e308, A, 1e308, A, A, A, 1.0, 2.0, 0.0], "nan nan nan None", 3),  # the last valid start
+    ([1.0] * 6 + [1.0, 2.0, 0.0], "None None None None", None),
+    ([0.0, 2.0, 1.0, 7.0, 0.0, 2.0, 1.0, 9.0, 9.0, 3.0, 0.0, 1.0],
+     "-0.9999999999999999 1.0 -1.0 1.0 -0.9999999999999999 1.0 -0.9999999999999998", 6),
+    ([1e308, A, 1e308, 0.0, 1.0, 0.0, 1.0, 2.0, 0.0], "nan nan -1.0 1.0", 4),
+    ([0.0, 2.0, 1.0, 1e308, A, 1e308, 0.0, 2.0, 1.0, 5.0, 0.0, 2.0, 1.0],
+     "1.0 nan nan nan nan -1.0 1.0 -1.0", 7),
+], ids=["all-nan-then-flat", "all-flat", "equal-r-latest", "nan-then-r", "tie-across-nans"])
+def test_correlation_nan_and_flat_rule(values, classes, start):
+    """Under correlation a nan r loses to every other r, a window of equal raw values (None) is
+    not valid, equal r go to the latest start, and every valid r nan picks the last valid one."""
+    scores = window_correlations(np.array(values), 3, 3, detrend_mode=True)
+    assert " ".join("None" if v is None else repr(v) for v in scores) == classes
+    if start is None:
+        with pytest.raises(NoValidCandidate):
+            find_best_match(TimeSeries(values), 3, 3, CORR, detrend_mode=True)
+        return
+    match = find_best_match(TimeSeries(values), 3, 3, CORR, detrend_mode=True)
+    assert (match.start, repr(match.score)) == (start, repr(scores[start - 1]))
 
-    Unchunked, the window matrix alone would be N * K * 8 bytes = 160 MB at N = 20.
+
+@pytest.mark.parametrize("detrend_mode", [False, True], ids=["none", "linear"])
+@pytest.mark.parametrize("criterion, k", [(DIFF, 10**6), (CORR, 10**5)],
+                         ids=["difference", "correlation"])
+def test_scan_memory_is_bounded(criterion, k, detrend_mode):
+    """The scan holds its keys and one chunk, not a K-by-N window matrix.
+
+    Unchunked, the window matrix alone would be N * K * 8 bytes = 160 MB at N = 20 and
+    K = 10^6. Correlation scores a window at a time in Python, so it runs at K = 10^5.
     """
-    k = 10**6
     series, _ = quantize(generate(GeneratorSpec(length=k, noise=0.15, seed=1)), 32)
     tracemalloc.start()
     try:
-        find_best_match(series, 20, 20, DIFF, detrend_mode)
+        find_best_match(series, 20, 20, criterion, detrend_mode)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,7 +10,7 @@ from ngramcast.series import (
     LinearTrend,
     NgramcastError,
     TimeSeries,
-    _positions,
+    _detrend_rows,
     detrend,
     fit_linear_trend,
     pearson,
@@ -164,21 +164,14 @@ def test_sums_over_the_count_keep_the_bits_of_mean(case):
         assert (bits(trend.slope), bits(trend.intercept)) == (
             bits(expected.slope), bits(expected.intercept))
         assert detrend(x, trend).tobytes() == (x - trend.at(np.arange(1, x.size + 1))).tobytes()
+        # the scan's helper, on the window alone and as a row of a block
+        assert _detrend_rows(x.copy()).tobytes() == detrend(x, trend).tobytes()
+        assert _detrend_rows(np.stack([y, x]))[1].tobytes() == detrend(x, trend).tobytes()
         r, expected_r = pearson(x, y), mean_pearson_reference(x, y)
     if (x == x[0]).all() or (y == y[0]).all():
         assert r is None
     else:
         assert bits(r) == bits(expected_r)
-
-
-def test_cached_positions_are_read_only():
-    # every fit and detrend of a window of 7 reads these arrays: a write would poison them all
-    x, x_mean, x_var = _positions(7)
-    assert x.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0] and (x_mean, x_var) == (4.0, 4.0)
-    assert not x.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        x[0] = 0.0
-    assert _positions(7)[0] is x
 
 
 class TestLinearTrend:
