@@ -51,7 +51,9 @@ class ForecastConfig:
             raise ValueError(f"multiplier must be > 0, got {self.multiplier}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if not self.multiplier * self.horizon < 2**53:  # ceil is exact only below 2^53
+        if self.levels >= 2**63:  # so a grid index fits in int64
+            raise ValueError(f"levels must be below 2^63, got {self.levels}")
+        if not self.multiplier < 2**53 / self.horizon:  # ceil is exact only below 2^53
             raise ValueError(f"multiplier {self.multiplier} times horizon {self.horizon} is too"
                              " large: the window length must be below 2^53")
         if self.window_length < 2 + (linear := self.trend_mode is TrendMode.LINEAR):

@@ -85,6 +85,8 @@ def quantize(series: TimeSeries, levels: int) -> tuple[TimeSeries, QuantizationG
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
+    if levels >= 2**63:  # so a grid index fits in int64
+        raise ValueError(f"levels must be below 2^63, got {levels}")
     vmin = float(series.values.min())
     vmax = float(series.values.max())
     if vmax == vmin:

@@ -172,6 +172,20 @@ class TestForecastCommand:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: levels must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--levels", f"levels must be below 2^63, got {10**400}"),
+        ("--horizon", f"multiplier 1.0 times horizon {10**400} is too large:"
+                      " the window length must be below 2^53"),
+    ], ids=["levels", "horizon"])
+    def test_integer_past_float64_is_one_line_error(self, fig2_csv, tmp_path, capsys, flag,
+                                                    message):
+        # 10^400 does not convert to float64; the config refuses it before the input is read
+        for subcommand in ("forecast", "backtest"):
+            for path in (fig2_csv, tmp_path / "missing.csv"):
+                argv = [subcommand, "--input", str(path), "--horizon", "5", flag, str(10**400)]
+                assert main(argv) == 1, (subcommand, path)
+                assert capsys.readouterr().err == f"error: {message}\n", (subcommand, path)
+
     @pytest.mark.parametrize("case", ["directory", "utf16", "output-directory"])
     def test_unusable_path_is_one_line_error(self, fig2_csv, tmp_path, capsys, case):
         utf16 = tmp_path / "utf16.csv"

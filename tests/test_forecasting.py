@@ -93,6 +93,22 @@ class TestWindowLength:
         with pytest.raises(ValueError, match=r"^levels must be >= 1, got 0$"):
             ForecastConfig(5, levels=0)
 
+    @pytest.mark.parametrize("levels", [2**63, 10**400], ids=["2^63", "1e400"])
+    def test_levels_from_2_to_the_63(self, levels):
+        # a grid index must fit in int64, and levels past float64 would overflow in quantize
+        with pytest.raises(ValueError, match=rf"^levels must be below 2\^63, got {levels}$"):
+            ForecastConfig(5, levels=levels)
+        assert ForecastConfig(5, levels=2**63 - 1).levels == 2**63 - 1
+
+    @pytest.mark.parametrize("multiplier, shown", [(None, r"1\.0"), (1e-300, "1e-300")],
+                             ids=["default", "tiny"])
+    def test_horizon_past_float64(self, multiplier, shown):
+        # 10^400 does not convert to float64; 2^53 / 10^400 is 0.0, so every multiplier fails
+        message = (rf"^multiplier {shown} times horizon {10**400} is too large:"
+                   r" the window length must be below 2\^53$")
+        with pytest.raises(ValueError, match=message):
+            ForecastConfig(10**400, multiplier)
+
 
 def test_forecast_refuses_values_that_are_not_finite():
     with pytest.raises(ValueError, match=r"^forecast values must all be finite$"):

@@ -23,82 +23,62 @@ DIFF = SimilarityCriterion.DIFFERENCE
 CORR = SimilarityCriterion.CORRELATION
 
 
-def brute_force_best(values, n, p, criterion, detrend_mode):
-    """Independent exhaustive re-scoring, sharing only the public scoring ops."""
-    k = len(values)
-    query = np.asarray(values[k - n :], dtype=float)
-    best = None
-    for s in range(1, k - n - p + 2):
-        cand = np.asarray(values[s - 1 : s - 1 + n], dtype=float)
-        q, c = query, cand
-        if detrend_mode:
-            q = detrend(q, fit_linear_trend(q))
-            c = detrend(c, fit_linear_trend(c))
-        if criterion is DIFF:
-            score = float(np.abs(q - c).sum())
-            if best is None or score <= best[1]:
-                best = (s, score)
-        elif (score := pearson(q, c)) is not None:
-            if best is None or score >= best[1]:
-                best = (s, score)
-    return best
+def window_keys(values, n, p, criterion, detrend_mode):
+    """find_best_match's key of every admissible start, each window scored on its own with the
+    public ops: its L1 score under DIFFERENCE, -r under CORRELATION, None if it is excluded.
 
-
-def window_differences(values, n, p, detrend_mode):
-    """The difference score of every admissible start, each window scored on its own."""
+    Under CORRELATION a window whose raw values are all equal or whose r is undefined is
+    excluded, and a constant raw query excludes every window."""
+    values = np.asarray(values, dtype=float)
     k = len(values)
     query = values[k - n :]
+
+    def excluded(w):
+        return criterion is CORR and (w == w[0]).all()
+
+    if excluded(query):
+        return [None] * (k - n - p + 1)
+    keys = []
     with np.errstate(all="ignore"):  # a fit or an L1 sum of values near 1e308 overflows
         if detrend_mode:
             query = detrend(query, fit_linear_trend(query))
-        scores = []
         for s in range(1, k - n - p + 2):
             cand = values[s - 1 : s - 1 + n]
-            if detrend_mode:
-                cand = detrend(cand, fit_linear_trend(cand))
-            scores.append(float(np.abs(query - cand).sum()))
-    return scores
-
-
-def loop_difference_pick(scores):
-    """(start, score) by the per-window scan's rule: `<=` keeps the latest of the best, and a
-    nan best is replaced by whatever comes next, so nan loses and an all-nan scan ends last."""
-    best_start, best_score = None, math.nan
-    for s, score in enumerate(scores, start=1):
-        if math.isnan(best_score) or score <= best_score:
-            best_start, best_score = s, score
-    return best_start, best_score
-
-
-def window_correlations(values, n, p, detrend_mode):
-    """r of every admissible start, each window scored on its own; None where r is undefined.
-
-    A window whose raw values are all equal is None before it is detrended."""
-    k = len(values)
-    query = values[k - n :]
-    with np.errstate(all="ignore"):  # a fit of values near 1e308 overflows
-        if detrend_mode:
-            query = detrend(query, fit_linear_trend(query))
-        scores = []
-        for s in range(1, k - n - p + 2):
-            cand = values[s - 1 : s - 1 + n]
-            if (cand == cand[0]).all():
-                scores.append(None)
+            if excluded(cand):
+                keys.append(None)
                 continue
             if detrend_mode:
                 cand = detrend(cand, fit_linear_trend(cand))
-            scores.append(pearson(query, cand))
-    return scores
+            if criterion is DIFF:
+                keys.append(float(np.abs(query - cand).sum()))
+            else:
+                keys.append(None if (r := pearson(query, cand)) is None else -r)
+    return keys
 
 
-def loop_correlation_pick(scores):
-    """(start, r) by a running best over the defined r: `>=` keeps the latest of the best, and
-    a nan best is replaced by whatever comes next; (None, nan) when no r is defined."""
-    best_start, best_score = None, math.nan
-    for s, score in enumerate(scores, start=1):
-        if score is not None and (math.isnan(best_score) or score >= best_score):
-            best_start, best_score = s, score
-    return best_start, best_score
+def brute_force_best(values, n, p, criterion, detrend_mode):
+    """(start, score) of find_best_match's documented pick over window_keys, or None if every
+    window is excluded: the least key that is not nan wins, ties go to the latest start, and if
+    every valid key is nan the last valid start wins. The score is the key, r under CORRELATION."""
+    best = None
+    for s, key in enumerate(window_keys(values, n, p, criterion, detrend_mode), start=1):
+        if key is not None and (best is None or math.isnan(best[1]) or key <= best[1]):
+            best = (s, key)
+    return best if best is None or criterion is DIFF else (best[0], -best[1])
+
+
+def checked_pick(values, n, p, criterion, detrend_mode):
+    """find_best_match's start, or None if it raises NoValidCandidate, once brute_force_best is
+    seen to agree: the same start and the same bits of the score, or no valid window."""
+    expected = brute_force_best(values, n, p, criterion, detrend_mode)
+    if expected is None:
+        with pytest.raises(NoValidCandidate):
+            find_best_match(TimeSeries(values), n, p, criterion, detrend_mode)
+        return None
+    match = find_best_match(TimeSeries(values), n, p, criterion, detrend_mode)
+    assert (match.start, np.float64(match.score).tobytes()) == (
+        expected[0], np.float64(expected[1]).tobytes()), (criterion, detrend_mode, expected, match)
+    return match.start
 
 
 def exact_scores(idx, n, p, criterion, detrend_mode):
@@ -220,10 +200,7 @@ def test_difference_scan_keeps_the_bits_of_a_window_loop(chunks, n, p, exponent,
     """Across chunk boundaries, the pick and the bits of its score are the per-window scan's."""
     series = scan_series(chunks, n, p, exponent, offset, on_grid, data_seed)
     for detrend_mode in (False, True):
-        start, score = loop_difference_pick(window_differences(series.values, n, p, detrend_mode))
-        match = find_best_match(series, n, p, DIFF, detrend_mode)
-        assert (match.start, np.float64(match.score).tobytes()) == (
-            start, np.float64(score).tobytes()), (detrend_mode, match, start, score)
+        checked_pick(series.values, n, p, DIFF, detrend_mode)
 
 
 @seed(20261021)
@@ -234,15 +211,7 @@ def test_correlation_scan_keeps_the_bits_of_a_window_loop(chunks, n, p, exponent
     """Across chunk boundaries, the pick and the bits of its r are the per-window scan's."""
     series = scan_series(chunks, n, p, exponent, offset, on_grid, data_seed)
     for detrend_mode in (False, True):
-        scores = window_correlations(series.values, n, p, detrend_mode)
-        start, score = loop_correlation_pick(scores)
-        if start is None:
-            with pytest.raises(NoValidCandidate):
-                find_best_match(series, n, p, CORR, detrend_mode)
-            continue
-        match = find_best_match(series, n, p, CORR, detrend_mode)
-        assert (match.start, np.float64(match.score).tobytes()) == (
-            start, np.float64(score).tobytes()), (detrend_mode, match, start, score)
+        checked_pick(series.values, n, p, CORR, detrend_mode)
 
 
 A = 5e307  # windows of +-A detrend to an L1 sum that overflows; the fit of [A, A, A] overflows
@@ -257,10 +226,9 @@ A = 5e307  # windows of +-A detrend to an L1 sum that overflows; the fit of [A, 
 ], ids=["inf-then-nan", "nan-then-inf", "inf-tie-then-nan", "inf-tie-last", "all-nan"])
 def test_difference_nan_and_inf_rule(values, classes, start):
     """A nan score loses to every other, inf included; equal scores go to the latest start."""
-    scores = window_differences(np.array(values), 3, 1, detrend_mode=True)
-    assert " ".join("nan" if math.isnan(v) else repr(v) for v in scores) == classes
-    match = find_best_match(TimeSeries(values), 3, 1, DIFF, detrend_mode=True)
-    assert (match.start, repr(match.score)) == (start, repr(scores[start - 1]))
+    keys = window_keys(values, 3, 1, DIFF, detrend_mode=True)
+    assert " ".join("nan" if math.isnan(v) else repr(v) for v in keys) == classes
+    assert checked_pick(values, 3, 1, DIFF, detrend_mode=True) == start
 
 
 @pytest.mark.parametrize("values, classes, start", [
@@ -275,14 +243,24 @@ def test_difference_nan_and_inf_rule(values, classes, start):
 def test_correlation_nan_and_flat_rule(values, classes, start):
     """Under correlation a nan r loses to every other r, a window of equal raw values (None) is
     not valid, equal r go to the latest start, and every valid r nan picks the last valid one."""
-    scores = window_correlations(np.array(values), 3, 3, detrend_mode=True)
-    assert " ".join("None" if v is None else repr(v) for v in scores) == classes
-    if start is None:
-        with pytest.raises(NoValidCandidate):
-            find_best_match(TimeSeries(values), 3, 3, CORR, detrend_mode=True)
-        return
-    match = find_best_match(TimeSeries(values), 3, 3, CORR, detrend_mode=True)
-    assert (match.start, repr(match.score)) == (start, repr(scores[start - 1]))
+    keys = window_keys(values, 3, 3, CORR, detrend_mode=True)
+    assert " ".join("None" if v is None else repr(-v) for v in keys) == classes  # r, not -r
+    assert checked_pick(values, 3, 3, CORR, detrend_mode=True) == start
+
+
+SINE_THEN_THIRDS = np.concatenate([np.sin(np.arange(1, 61) / 4), np.full(20, 1 / 3)])
+
+
+@pytest.mark.parametrize("values, n, p, criterion, detrend_mode, start", [
+    ([A, 1e308, -A, A, A, A, A, 0.0], 3, 1, DIFF, True, 2),  # scores nan, inf, nan, nan, nan
+    ([1 / 3] * 11 + [0.9], 10, 1, CORR, True, None),  # flat windows: detrended, r would be 0.0474
+    (SINE_THEN_THIRDS, 10, 5, CORR, False, None),  # a constant query: r is undefined
+    (SINE_THEN_THIRDS, 10, 5, CORR, True, None),  # detrended, it would be rounding noise
+], ids=["nan-then-inf", "flat-windows", "constant-query-none", "constant-query-linear"])
+def test_reference_keeps_the_documented_rules(values, n, p, criterion, detrend_mode, start):
+    """Where a reference that lets a nan score win, scores a flat window or scores a constant
+    query would pick another start, the matcher and brute_force_best keep the documented rule."""
+    assert checked_pick(values, n, p, criterion, detrend_mode) == start
 
 
 @pytest.mark.parametrize("detrend_mode", [False, True], ids=["none", "linear"])
@@ -442,12 +420,11 @@ class TestFindBestMatch:
     def test_constant_query_has_no_correlation(self, detrend_mode):
         # the float mean of 1/3 is inexact, and a detrended constant is rounding noise: either
         # would score r = +-1 against the constant windows before the query
-        vals = np.concatenate([np.sin(np.arange(1, 61) / 4), np.full(20, 1 / 3)])
         with pytest.raises(NoValidCandidate,
                            match=r"^the query, the last 10 values, is constant: r is undefined$"):
-            find_best_match(TimeSeries(vals), 10, 5, CORR, detrend_mode)
+            find_best_match(TimeSeries(SINE_THEN_THIRDS), 10, 5, CORR, detrend_mode)
         # the difference criterion still scores it: the constant windows match it
-        assert find_best_match(TimeSeries(vals), 10, 5, DIFF, detrend_mode).start == 66
+        assert find_best_match(TimeSeries(SINE_THEN_THIRDS), 10, 5, DIFF, detrend_mode).start == 66
 
     @pytest.mark.parametrize("detrend_mode", [False, True], ids=["none", "linear"])
     @pytest.mark.parametrize("tail", [0.9, -0.4])
@@ -480,15 +457,11 @@ class TestFindBestMatch:
             n = rng.randint(2, max(3, (k - p - 1) // 2))
             if k < n + p + 1:
                 continue
-            series = TimeSeries(vals)
             for crit in (DIFF, CORR):
                 for dt in (False, True):
                     if dt and n < 3:
                         continue
-                    match = find_best_match(series, n, p, crit, dt)
-                    bstart, bscore = brute_force_best(vals, n, p, crit, dt)
-                    assert match.start == bstart
-                    assert match.score == pytest.approx(bscore, abs=1e-12)
+                    checked_pick(vals, n, p, crit, dt)
 
     def test_correlation_argmax_affine_invariant(self):
         rng = np.random.RandomState(12)

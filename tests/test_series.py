@@ -102,6 +102,13 @@ class TestQuantize:
         with pytest.raises(ValueError, match=r"^levels must be >= 1, got 0$"):
             quantize(TimeSeries(np.array([1.0, 2.0])), 0)
 
+    @pytest.mark.parametrize("levels", [2**63, 10**400], ids=["2^63", "1e400"])
+    def test_levels_from_2_to_the_63(self, levels):
+        # a grid index must fit in int64, and (max - min) / 10^400 overflows converting 10^400
+        with pytest.raises(ValueError, match=rf"^levels must be below 2\^63, got {levels}$"):
+            quantize(TimeSeries(np.array([1.0, 2.0])), levels)
+        assert quantize(TimeSeries(np.array([1.0, 2.0])), 2**63 - 1)[1].levels == 2**63 - 1
+
     def test_step_underflow(self):
         # a subnormal range split into 1012 levels has a step of 0 in float64
         with pytest.raises(NgramcastError, match=(
