@@ -258,8 +258,9 @@ SINE_THEN_THIRDS = np.concatenate([np.sin(np.arange(1, 61) / 4), np.full(20, 1 /
     (SINE_THEN_THIRDS, 10, 5, CORR, True, None),  # detrended, it would be rounding noise
 ], ids=["nan-then-inf", "flat-windows", "constant-query-none", "constant-query-linear"])
 def test_reference_keeps_the_documented_rules(values, n, p, criterion, detrend_mode, start):
-    """Where a reference that lets a nan score win, scores a flat window or scores a constant
-    query would pick another start, the matcher and brute_force_best keep the documented rule."""
+    """The rules a reference most easily misses, kept by the matcher and brute_force_best alike:
+    a nan score loses to inf, a window of equal raw values is excluded before it is detrended,
+    and a constant raw query excludes every window, detrended or not."""
     assert checked_pick(values, n, p, criterion, detrend_mode) == start
 
 
