@@ -185,7 +185,7 @@ def _run_forecast(args) -> int:
             print(f"warning: {w.message}", file=sys.stderr)
     check = None if args.method == "holt" else config.multiplier_check
 
-    first_index = len(series) - horizon + 1 if holdout else len(series) + 1
+    first_index = series.values.size + 1 - (horizon if holdout else 0)
     indices = range(first_index, first_index + horizon)
     if args.output:
         _write_lines(args.output, chain(["index,value"],
@@ -241,16 +241,17 @@ def main(argv=None) -> int:
             return _run_generate(args)
         return _run_forecast(args)
     except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
-        return 1
+        message = f"file not found: {exc.filename or exc}"
     except OSError as exc:  # one with no file name is a write to stdout
         name = exc.filename or "stdout"
         verb = "read" if exc.filename and name == getattr(args, "input", None) else "write"
-        print(f"error: cannot {verb} {name}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
+        message = f"cannot {verb} {name}: {exc.strerror or exc}"
+    except MemoryError as exc:  # numpy's names the size it could not allocate; a bare one is empty
+        message = f"out of memory ({exc})" if str(exc) else "out of memory"
     except (NgramcastError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -48,6 +48,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
+        if self.length > 2**53:  # clean_values takes positions as float64, exact up to 2^53
+            raise ValueError(f"length must be at most 2^53, got {self.length}")
         if not self.period > 0:
             raise ValueError(f"period must be > 0, got {self.period}")
         if not self.amplitude > 0:

@@ -50,9 +50,6 @@ class TimeSeries:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    def __len__(self) -> int:
-        return int(self.values.size)
-
 
 @dataclass(frozen=True)
 class QuantizationGrid:

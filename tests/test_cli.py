@@ -92,11 +92,6 @@ class TestGenerate:
         base = generate(GeneratorSpec(length=100)).values
         assert (series.values - base)[-1] == pytest.approx(2.0)
 
-    def test_invalid_flag_combination(self, tmp_path, capsys):
-        rc = main(["generate", "--kind", "sinusoid", "--slope", "0.5"])
-        assert rc != 0
-        assert "slope" in capsys.readouterr().err
-
 
 class TestForecastCommand:
     @pytest.fixture
@@ -133,22 +128,6 @@ class TestForecastCommand:
         kinds = {r.split(",")[0] for r in plot_rows[1:]}
         assert kinds == {"history", "forecast"}
 
-    def test_too_short_names_minimum(self, tmp_path, capsys):
-        path = tmp_path / "short.csv"
-        path.write_text("\n".join(str(i % 7) for i in range(30)) + "\n")
-        rc = main(["forecast", "--input", str(path), "--horizon", "20"])
-        assert rc != 0
-        assert "41" in capsys.readouterr().err
-
-    def test_multiplier_warning_does_not_fail(self, tmp_path, capsys):
-        path = tmp_path / "s.csv"
-        main(["generate", "--length", "100", "--output", str(path)])
-        rc = main(
-            ["forecast", "--input", str(path), "--horizon", "3", "--multiplier", "1"]
-        )
-        assert rc == 0
-        assert "(2, 5]" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flags", [["--method", "holt", "--horizon", "3"],
                                        ["--method", "holt", "--horizon", "2"]])
     def test_unused_multiplier_gives_no_warning(self, tmp_path, capsys, flags):
@@ -161,30 +140,6 @@ class TestForecastCommand:
         out, err = capsys.readouterr()
         assert err == ""
         assert json.loads(out)["multiplier_check"] is None
-
-    def test_missing_input_file(self, tmp_path, capsys):
-        rc = main(["forecast", "--input", str(tmp_path / "x.csv"), "--horizon", "5"])
-        assert rc == 1
-        assert "not found" in capsys.readouterr().err
-
-    def test_bad_levels_wins_over_a_missing_file(self, tmp_path, capsys):
-        argv = ["forecast", "--input", str(tmp_path / "x.csv"), "--horizon", "5", "--levels", "0"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == "error: levels must be >= 1, got 0\n"
-
-    @pytest.mark.parametrize("flag, message", [
-        ("--levels", f"levels must be below 2^63, got {10**400}"),
-        ("--horizon", f"multiplier 1.0 times horizon {10**400} is too large:"
-                      " the window length must be below 2^53"),
-    ], ids=["levels", "horizon"])
-    def test_integer_past_float64_is_one_line_error(self, fig2_csv, tmp_path, capsys, flag,
-                                                    message):
-        # 10^400 does not convert to float64; the config refuses it before the input is read
-        for subcommand in ("forecast", "backtest"):
-            for path in (fig2_csv, tmp_path / "missing.csv"):
-                argv = [subcommand, "--input", str(path), "--horizon", "5", flag, str(10**400)]
-                assert main(argv) == 1, (subcommand, path)
-                assert capsys.readouterr().err == f"error: {message}\n", (subcommand, path)
 
     @pytest.mark.parametrize("case", ["directory", "utf16", "output-directory"])
     def test_unusable_path_is_one_line_error(self, fig2_csv, tmp_path, capsys, case):
@@ -215,60 +170,6 @@ class TestForecastCommand:
         assert rc == 1
         assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
 
-    def test_overflowing_window_length_is_one_line_error(self, fig2_csv, capsys):
-        argv = ["forecast", "--input", str(fig2_csv), "--horizon", "5", "--multiplier", "1e308"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            "error: multiplier 1e+308 times horizon 5 is too large:"
-            " the window length must be below 2^53\n")
-
-    def test_inexact_window_length_is_one_line_error(self, fig2_csv, capsys):
-        # 5e300 and 1e16 are finite, but past 2^53 ceil no longer gives the exact product
-        cases = [("5", "1e300", "1e+300"), ("4", "2.5e15", "2500000000000000.0")]
-        for horizon, multiplier, shown in cases:
-            argv = ["forecast", "--input", str(fig2_csv), "--horizon", horizon,
-                    "--multiplier", multiplier]
-            assert main(argv) == 1
-            assert capsys.readouterr().err == (
-                f"error: multiplier {shown} times horizon {horizon} is too large:"
-                " the window length must be below 2^53\n")
-
-    @pytest.mark.parametrize("flags, message", [
-        (["--horizon", "5", "--multiplier", "0.2"],
-         "derived window length 1 is below 2 (horizon=5, multiplier=0.2)"),
-        (["--horizon", "1", "--multiplier", "0.5"],
-         "derived window length 1 is below 2 (horizon=1, multiplier=0.5)"),
-        (["--horizon", "5", "--multiplier", "1e308"],
-         "multiplier 1e+308 times horizon 5 is too large: the window length must be below 2^53"),
-        (["--horizon", "5", "--multiplier=0"], "multiplier must be > 0, got 0.0"),
-    ], ids=["window", "derived-window", "overflow", "zero-multiplier"])
-    def test_bad_window_fails_on_a_constant_series_too(self, tmp_path, capsys, flags, message):
-        for name, rows in [("varied", range(30)), ("constant", [7] * 30)]:
-            path = tmp_path / f"{name}.csv"
-            path.write_text("".join(f"{v}\n" for v in rows))
-            assert main(["forecast", "--input", str(path)] + flags) == 1, name
-            assert capsys.readouterr().err == f"error: {message}\n", name
-
-    def test_window_error_wins_over_a_too_short_series(self, tmp_path, capsys):
-        # the config is checked before the series, in backtest as in forecast
-        path = tmp_path / "short.csv"
-        path.write_text("1\n2\n3\n")
-        message = "derived window length 1 is below 2 (horizon=5, multiplier=0.1)"
-        for subcommand in ("forecast", "backtest"):
-            argv = [subcommand, "--input", str(path), "--horizon", "5", "--multiplier", "0.1"]
-            assert main(argv) == 1, subcommand
-            assert capsys.readouterr().err == f"error: {message}\n", subcommand
-
-    @pytest.mark.parametrize("flags, message", [
-        (["--multiplier", "1e308"], "multiplier 1e+308 times horizon 5 is too large"),
-        (["--multiplier", "0.1"], "derived window length 1 is below 2"),
-        (["--method", "holt", "--xi", "2"], "xi must be in [0, 1], got 2.0"),
-    ], ids=["window", "derived-window", "xi"])
-    def test_bad_flag_fails_before_the_input_is_read(self, tmp_path, capsys, flags, message):
-        argv = ["backtest", "--input", str(tmp_path / "missing.csv"), "--horizon", "5", *flags]
-        assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"error: {message}")
-
     @pytest.mark.parametrize("rows, flags, message", [
         # max - min overflows float64
         (["1e308", "-1e308", "0"] * 20, [],
@@ -291,38 +192,6 @@ class TestForecastCommand:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [f"error: {message}"]
 
-    @pytest.mark.parametrize("trend", ["none", "linear"])
-    def test_constant_query_under_correlation_is_one_line_error(self, tmp_path, capsys, trend):
-        # the query quantizes to one grid value; r against the constant windows before it
-        # was rounding noise, 1.0 at start 66
-        path = tmp_path / "s.csv"
-        rows = [math.sin(k / 4) for k in range(1, 61)] + [0.5] * 20
-        path.write_text("".join(f"{v!r}\n" for v in rows))
-        argv = ["forecast", "--input", str(path), "--horizon", "5", "--multiplier", "2",
-                "--levels", "20", "--criterion", "correlation", "--trend", trend]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            "error: the query, the last 10 values, is constant: r is undefined\n")
-
-    def test_constant_candidates_under_correlation_are_one_line_error(self, tmp_path, capsys):
-        # both windows are ten values of 1/3; detrended, their rounding residues would score
-        # r = 0.0474 and match at start 2
-        path = tmp_path / "s.csv"
-        path.write_text("".join(f"{v!r}\n" for v in [1 / 3] * 11 + [0.9]))
-        argv = ["forecast", "--input", str(path), "--horizon", "1", "--multiplier", "9.5",
-                "--criterion", "correlation", "--trend", "linear"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            "error: every candidate window was excluded under the correlation criterion\n")
-
-    def test_holdout_flag_is_gone(self, fig2_csv, capsys):
-        # backtest is the one way to score against the held-out tail
-        rc = main(["forecast", "--input", str(fig2_csv), "--horizon", "20", "--holdout"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: ngramcast ")
-        assert err.endswith("error: unrecognized arguments: --holdout\n")
-
     def test_input_is_read_once(self, fig2_csv, tmp_path, monkeypatch):
         # the manifest hashes the same bytes that were parsed
         reads = []
@@ -336,15 +205,6 @@ class TestForecastCommand:
                    "--report", str(tmp_path / "report.json")])
         assert rc == 0
         assert len(reads) == 1
-
-    def test_unknown_flag_fails_fast(self, fig2_csv, tmp_path, capsys):
-        out = tmp_path / "fc.csv"
-        rc = main(
-            ["forecast", "--input", str(fig2_csv), "--horizon", "20",
-             "--output", str(out), "--bogus"]
-        )
-        assert rc != 0
-        assert not out.exists()
 
     def test_holt_method(self, tmp_path):
         path = tmp_path / "line.csv"
@@ -474,41 +334,6 @@ class TestBacktestCommand:
         kinds = {r.split(",")[0] for r in plot.read_text().strip().splitlines()[1:]}
         assert kinds == {"history", "forecast", "actual"}
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--horizon", "5", "--multiplier", "1"],
-         "series length 7 is below the minimum required length 16"),
-        (["--horizon", "6", "--method", "holt"],
-         "series length 7 is below the minimum required length 8"),
-        (["--horizon", "3"],
-         "series length 7 is below the minimum required length 14: the default --multiplier"
-         " 2.25 makes a window of 7 at --horizon 3; a smaller --multiplier needs fewer rows"),
-    ], ids=["phrase", "holt", "default-multiplier"])
-    def test_too_short_names_the_files_rows(self, tmp_path, capsys, flags, message):
-        # the rows needed count the held-out tail, not just the training prefix
-        path = tmp_path / "s.csv"
-        main(["generate", "--length", "7", "--output", str(path)])
-        capsys.readouterr()
-        assert main(["backtest", "--input", str(path), *flags]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-
-    def test_no_hint_when_no_window_sets_the_minimum(self, tmp_path, capsys):
-        # a backtest at --horizon 3 needs 4 rows whatever the window, so no --multiplier helps
-        path = tmp_path / "s.csv"
-        path.write_text("1\n2\n3\n")
-        assert main(["backtest", "--input", str(path), "--horizon", "3"]) == 1
-        assert capsys.readouterr().err == (
-            "error: series length 3 is below the minimum required length 4\n")
-
-    @pytest.mark.parametrize("rows, horizon, minimum", [(3, 5, 7), (5, 5, 7), (6, 5, 7), (2, 2, 4)])
-    def test_holt_names_a_two_row_prefix(self, tmp_path, capsys, rows, horizon, minimum):
-        # Holt starts from two rows, so a backtest needs P + 2 rows, however few the file has
-        path = tmp_path / "s.csv"
-        path.write_text("".join(f"{i}\n" for i in range(1, rows + 1)))
-        assert main(["backtest", "--input", str(path), "--method", "holt",
-                     "--horizon", str(horizon)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: series length {rows} is below the minimum required length {minimum}\n")
-
     def test_tiny_values_keep_rmse(self, tmp_path, capsys):
         # errors near 1e-200 square to below float64's range, yet RMSE is not 0
         path = tmp_path / "s.csv"
@@ -535,27 +360,6 @@ class TestBacktestCommand:
         assert capsys.readouterr().err.startswith(
             f"error: series length {rows - 1} is below the minimum required length {rows}: ")
 
-    def test_window_of_2_under_a_linear_trend_is_one_line_error(self, tmp_path, capsys):
-        # a line fits any 2 points; the matcher once picked start 296 here with r = 1.0 from
-        # the rounding left in windows that detrend to 0
-        path = tmp_path / "s.csv"
-        values = generate(GeneratorSpec(length=300, noise=0.15, seed=7)).values.tolist()
-        path.write_text("".join(f"{v!r}\n" for v in values))
-        argv = ["backtest", "--input", str(path), "--horizon", "1", "--multiplier", "1.5",
-                "--criterion", "correlation", "--trend", "linear"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            "error: derived window length 2 is below 3 (horizon=1, multiplier=1.5): a line fits"
-            " any 2 points, so a detrended window of 2 is only rounding noise\n")
-
-    def test_constant_prefix_takes_the_shortcut(self, tmp_path, capsys):
-        # a one-row constant prefix is forecast as the constant, not refused as too short
-        path = tmp_path / "s.csv"
-        path.write_text("4\n" * 6)
-        assert main(["backtest", "--input", str(path), "--horizon", "5"]) == 0
-        assert capsys.readouterr().err == (
-            "warning: constant series: quantization skipped, forecast is the constant\n")
-
 
 class TestMapeOverflow:
     """A backtest report holds a finite MAPE or null, never Infinity."""
@@ -578,29 +382,164 @@ class TestMapeOverflow:
         assert (rc, err) == (0, "")
         assert json.loads(out, parse_constant=_reject)["metrics"]["mape"] == pytest.approx(1e308)
 
-    def test_errors_past_float64_are_one_line_error(self, tmp_path, capsys):
-        rc, out, err = self.backtest(tmp_path, capsys, ["1e308"] * 10 + ["-1e308"], 1)
-        assert (rc, out) == (1, "")
-        assert err == "error: the forecast errors are too large: RMSE overflows float64\n"
+
+def _text(values) -> str:  # one value a line, a float as its repr: the bytes generate writes
+    return "".join(f"{v}\n" for v in values)
 
 
-@pytest.mark.parametrize("argv", [
-    ["forecast", "--input", "s.csv", "--horizon", "3", "--method", "holt", "--multiplier", "nan"],
-    ["backtest", "--input", "s.csv", "--horizon", "3", "--xi", "nan"],
-    ["forecast", "--input", "s.csv", "--horizon", "3", "--multiplier", "inf"],
-    ["generate", "--noise", "nan"],
-    ["generate", "--phase", "inf"],
-])
-def test_non_finite_float_flag_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+# the stderr table's inputs by name; "missing" names a file that is never written
+SERIES = {
+    "paper": _text(generate(GeneratorSpec(length=100)).values.tolist()),
+    "paper-7": _text(generate(GeneratorSpec(length=7)).values.tolist()),
+    "noisy-300": _text(generate(GeneratorSpec(length=300, noise=0.15, seed=7)).values.tolist()),
+    "range-30": _text(range(30)),
+    "sevens": _text([7] * 30),
+    "mod-7": _text(k % 7 for k in range(30)),
+    "mod-5": _text(k % 5 for k in range(40)),
+    **{f"1-{n}": _text(range(1, n + 1)) for n in (2, 3, 5, 6)},
+    "fours": _text([4] * 6),
+    "sine-then-flat": _text([math.sin(k / 4) for k in range(1, 61)] + [0.5] * 20),
+    "thirds": _text([1 / 3] * 11 + [0.9]),
+    "huge-errors": _text(["1e308"] * 10 + ["-1e308"]),
+}
+_HUGE = 10**400  # past float64
+_TOO_LARGE = ("error: multiplier {} times horizon {} is too large:"
+              " the window length must be below 2^53\n")
+_BELOW = "error: derived window length {} is below {} (horizon={}, multiplier={}){}\n"
+_SHORT = "error: series length {} is below the minimum required length {}{}\n"
+_HINT = (": the default --multiplier {} makes a window of {} at --horizon {};"
+         " a smaller --multiplier needs fewer rows")
+
+
+# Each row is (id, subcommands, flags, input, exit code, stderr), in README order; an exit-2
+# row gives the last line of the usage error, and "{input}" stands for the input's path.
+STDERR = [
+    ("test_holdout_flag_is_gone", "forecast", "--horizon 20 --holdout", "paper", 2,
+     "ngramcast: error: unrecognized arguments: --holdout"),
+    ("test_unknown_flag_fails_fast", "forecast", "--horizon 20 --bogus", "paper", 2,
+     "ngramcast: error: unrecognized arguments: --bogus"),
     # a report or manifest records every flag, and strict JSON has no nan or inf
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "s.csv").write_text("".join(f"{k % 5}\n" for k in range(40)))
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    flag, value = argv[-2:]
-    assert out == ""
-    assert err.startswith("usage: ngramcast")
-    assert err.endswith(f"error: argument {flag}: not a finite number: {float(value)!r}\n")
+    *((f"test_non_finite_float_flag_is_a_usage_error-{flag}-{value}", subcommand,
+       f"{flags} --{flag} {value}", "mod-5", 2,
+       f"ngramcast: error: argument --{flag}: not a finite number: {value}")
+      for subcommand, flags, flag, value in [
+          ("forecast", "--horizon 3 --method holt", "multiplier", "nan"),
+          ("backtest", "--horizon 3", "xi", "nan"),
+          ("forecast", "--horizon 3", "multiplier", "inf"),
+          ("generate", "", "noise", "nan"),
+          ("generate", "", "phase", "inf")]),
+    ("test_invalid_flag_combination", "generate", "--kind sinusoid --slope 0.5", None, 1,
+     "error: slope and quadratic must be 0 for kind 'sinusoid'\n"),
+    ("length-past-2^53", "generate", f"--length {_HUGE}", None, 1,
+     f"error: length must be at most 2^53, got {_HUGE}\n"),
+    ("test_bad_levels_wins_over_a_missing_file", "forecast", "--horizon 5 --levels 0", "missing",
+     1, "error: levels must be >= 1, got 0\n"),
+    # 10^400 does not convert to float64; the config refuses it before the input is read
+    *((f"test_integer_past_float64_is_one_line_error-{flag}-{series}", "forecast backtest",
+       f"--horizon 5 --{flag} {_HUGE}", series, 1, stderr)
+      for flag, stderr in [("levels", f"error: levels must be below 2^63, got {_HUGE}\n"),
+                           ("horizon", _TOO_LARGE.format(1.0, _HUGE))]
+      for series in ["paper", "missing"]),
+    # 1e300 and 2.5e15 are finite, but past 2^53 ceil no longer gives the exact product
+    *((f"test_{name}_window_length_is_one_line_error-{multiplier}", "forecast",
+       f"--horizon {horizon} --multiplier {multiplier}", "paper", 1,
+       _TOO_LARGE.format(float(multiplier), horizon))
+      for name, horizon, multiplier in [("overflowing", 5, "1e308"), ("inexact", 5, "1e300"),
+                                        ("inexact", 4, "2.5e15")]),
+    *((f"test_bad_window_fails_on_a_constant_series_too-{case}-{series}", "forecast", flags,
+       series, 1, stderr)
+      for case, flags, stderr in [
+          ("window", "--horizon 5 --multiplier 0.2", _BELOW.format(1, 2, 5, 0.2, "")),
+          ("derived-window", "--horizon 1 --multiplier 0.5", _BELOW.format(1, 2, 1, 0.5, "")),
+          ("overflow", "--horizon 5 --multiplier 1e308", _TOO_LARGE.format(1e308, 5)),
+          ("zero-multiplier", "--horizon 5 --multiplier=0",
+           "error: multiplier must be > 0, got 0.0\n")]
+      for series in ["range-30", "sevens"]),
+    *((f"test_bad_flag_fails_before_the_input_is_read-{case}", "backtest", f"--horizon 5 {flags}",
+       "missing", 1, stderr)
+      for case, flags, stderr in [
+          ("window", "--multiplier 1e308", _TOO_LARGE.format(1e308, 5)),
+          ("derived-window", "--multiplier 0.1", _BELOW.format(1, 2, 5, 0.1, "")),
+          ("xi", "--method holt --xi 2", "error: xi must be in [0, 1], got 2.0\n")]),
+    ("test_window_error_wins_over_a_too_short_series", "forecast backtest",
+     "--horizon 5 --multiplier 0.1", "1-3", 1, _BELOW.format(1, 2, 5, 0.1, "")),
+    # the matcher once picked start 296 here, with r = 1.0 from the rounding in flat residues
+    ("test_window_of_2_under_a_linear_trend_is_one_line_error", "backtest",
+     "--horizon 1 --multiplier 1.5 --criterion correlation --trend linear", "noisy-300", 1,
+     _BELOW.format(2, 3, 1, 1.5, ": a line fits any 2 points, so a detrended window of 2 is only"
+                                 " rounding noise")),
+    ("test_missing_input_file", "forecast", "--horizon 5", "missing", 1,
+     "error: file not found: {input}\n"),
+    ("test_too_short_names_minimum", "forecast", "--horizon 20", "mod-7", 1,
+     _SHORT.format(30, 41, _HINT.format(1.0, 20, 20))),
+    # a backtest counts the held-out tail in the rows it needs; Holt starts from two rows
+    *((f"test_too_short_names_the_files_rows-{case}", "backtest", flags, "paper-7", 1,
+       _SHORT.format(7, minimum, hint))
+      for case, flags, minimum, hint in [
+          ("phrase", "--horizon 5 --multiplier 1", 16, ""),
+          ("holt", "--horizon 6 --method holt", 8, ""),
+          ("default-multiplier", "--horizon 3", 14, _HINT.format(2.25, 7, 3))]),
+    # a backtest at --horizon 3 needs 4 rows whatever the window, so no --multiplier helps
+    ("test_no_hint_when_no_window_sets_the_minimum", "backtest", "--horizon 3", "1-3", 1,
+     _SHORT.format(3, 4, "")),
+    *((f"test_holt_names_a_two_row_prefix-{rows}-{horizon}", "backtest",
+       f"--method holt --horizon {horizon}", f"1-{rows}", 1, _SHORT.format(rows, minimum, ""))
+      for rows, horizon, minimum in [(3, 5, 7), (5, 5, 7), (6, 5, 7), (2, 2, 4)]),
+    # the query quantizes to one grid value; its r with a flat window was noise, 1.0 at start 66
+    *((f"test_constant_query_under_correlation_is_one_line_error-{trend}", "forecast",
+       f"--horizon 5 --multiplier 2 --levels 20 --criterion correlation --trend {trend}",
+       "sine-then-flat", 1, "error: the query, the last 10 values, is constant: r is undefined\n")
+      for trend in ["none", "linear"]),
+    # both windows are ten values of 1/3, whose detrended rounding once scored r = 0.0474
+    ("test_constant_candidates_under_correlation_are_one_line_error", "forecast",
+     "--horizon 1 --multiplier 9.5 --criterion correlation --trend linear", "thirds", 1,
+     "error: every candidate window was excluded under the correlation criterion\n"),
+    ("test_errors_past_float64_are_one_line_error", "backtest", "--horizon 1 --method holt",
+     "huge-errors", 1, "error: the forecast errors are too large: RMSE overflows float64\n"),
+    ("test_multiplier_warning_does_not_fail", "forecast", "--horizon 3 --multiplier 1", "paper",
+     0, "warning: multiplier 1.0 outside recommended range (2, 5] for horizon < 5\n"),
+    # a one-row constant prefix is forecast as the constant, not refused as too short
+    ("test_constant_prefix_takes_the_shortcut", "backtest", "--horizon 5", "fours", 0,
+     "warning: constant series: quantization skipped, forecast is the constant\n"),
+]
+
+
+@pytest.mark.parametrize("subcommands, flags, series, code, stderr",
+                         [pytest.param(*row, id=name) for name, *row in STDERR])
+def test_stderr(tmp_path, capsys, subcommands, flags, series, code, stderr):
+    # all of stderr, or for exit 2 the usage line and the last line; a refusal writes no file
+    path, out, report = tmp_path / "s.csv", tmp_path / "out.csv", tmp_path / "report.json"
+    if SERIES.get(series):
+        path.write_text(SERIES[series])
+    for subcommand in subcommands.split():
+        source = [] if subcommand == "generate" else ["--input", str(path), "--report", str(report)]
+        rc = main([subcommand, *source, *flags.split(), "--output", str(out)])
+        stdout, err = capsys.readouterr()
+        assert (rc, stdout) == (code, ""), subcommand
+        if code == 2:
+            assert err.startswith("usage: ngramcast ") and err.splitlines()[-1] == stderr
+        else:
+            assert err == stderr.replace("{input}", str(path)), subcommand
+        assert code == 0 or not (out.exists() or report.exists()), subcommand
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 7.11 PiB for an array with shape (1000000000000000,) and"
+                 " data type int64"),
+     "out of memory (Unable to allocate 7.11 PiB for an array with shape (1000000000000000,)"
+     " and data type int64)"),
+    (MemoryError(), "out of memory"),  # a bare one has no text of its own
+], ids=["numpy", "bare"])
+def test_out_of_memory_is_one_line_error(tmp_path, monkeypatch, capsys, error, message):
+    # generate raises as numpy does on an array that memory cannot hold; nothing is allocated
+    def allocate(spec):
+        raise error
+
+    monkeypatch.setattr("ngramcast.cli.generate", allocate)
+    out = tmp_path / "out.csv"
+    assert main(["generate", "--length", "10", "--output", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def _reject(constant):

@@ -88,13 +88,15 @@ class TestGenerator:
         ({"kind": "sinusoid", "slope": 0.1},
          r"^slope and quadratic must be 0 for kind 'sinusoid'$"),
         ({"length": 0}, r"^length must be >= 1, got 0$"),
+        # positions are float64, exact up to 2^53; the spec is refused before any allocation
+        ({"length": 2**53 + 1}, r"^length must be at most 2\^53, got 9007199254740993$"),
         ({"amplitude": 0.0}, r"^amplitude must be > 0, got 0\.0$"),
         ({"amplitude": -1.0}, r"^amplitude must be > 0, got -1\.0$"),
         ({"noise": -0.5}, r"^noise half-width must be >= 0, got -0\.5$"),
         ({"kind": "sinusoid-linear", "quadratic": 0.1},
          r"^quadratic must be 0 for kind 'sinusoid-linear'$"),
-    ], ids=["kind", "sinusoid-slope", "length", "zero-amplitude", "negative-amplitude", "noise",
-            "linear-quadratic"])
+    ], ids=["kind", "sinusoid-slope", "length", "length-past-2^53", "zero-amplitude",
+            "negative-amplitude", "noise", "linear-quadratic"])
     def test_kind_validation(self, fields, message):
         with pytest.raises(ValueError, match=message):
             GeneratorSpec(**fields)
