@@ -19,6 +19,8 @@ import numpy as np
 from .matching import _LINE, SimilarityCriterion, find_best_match
 from .series import NgramcastError, SeriesTooShort, TimeSeries, fit_linear_trend, quantize
 
+_SIGN = ": r of {} {}points is +1 or -1, so it would carry only a sign"
+
 
 class TrendMode(enum.Enum):
     NONE = "none"
@@ -56,10 +58,13 @@ class ForecastConfig:
         if not self.multiplier < 2**53 / self.horizon:  # ceil is exact only below 2^53
             raise ValueError(f"multiplier {self.multiplier} times horizon {self.horizon} is too"
                              " large: the window length must be below 2^53")
-        if self.window_length < 2 + (linear := self.trend_mode is TrendMode.LINEAR):
-            raise ValueError(f"derived window length {self.window_length} is below {2 + linear}"
+        linear = self.trend_mode is TrendMode.LINEAR
+        correlation = self.criterion is SimilarityCriterion.CORRELATION
+        if self.window_length < (minimum := 2 + linear + correlation):
+            sign = _SIGN.format(minimum - 1, "detrended " * linear)
+            raise ValueError(f"derived window length {self.window_length} is below {minimum}"
                              f" (horizon={self.horizon}, multiplier={self.multiplier})"
-                             + _LINE * linear)
+                             + (sign if correlation else _LINE * linear))
         if not (check := self.multiplier_check)[0]:
             warnings.warn(check[1], stacklevel=3)
 
@@ -132,12 +137,9 @@ def forecast(series: TimeSeries, config: ForecastConfig | HoltConfig) -> Forecas
     p = config.horizon
     n = config.window_length
     if (series.values == series.values[0]).all():
-        warnings.warn(
-            "constant series: quantization skipped, forecast is the constant",
-            stacklevel=2,
-        )
-        c = float(series.values[0])
-        return Forecast((c,) * p, matched_start=0, score=0.0, method=method)
+        warnings.warn("constant series: quantization skipped, forecast is the constant",
+                      stacklevel=2)
+        return Forecast((series.values[0],) * p, matched_start=0, score=0.0, method=method)
     quantized, _ = quantize(series, config.levels)
     match = find_best_match(quantized, n, p, config.criterion, detrend_mode=linear)
     qv = quantized.values
@@ -150,10 +152,12 @@ def forecast(series: TimeSeries, config: ForecastConfig | HoltConfig) -> Forecas
             positions = np.arange(n + 1, n + p + 1)
             values = values - trend_cand.at(positions) + trend_query.at(positions)
         if not np.isfinite(values).all():
-            raise NgramcastError(
-                f"values up to {np.abs(qv).max():g} are too large for the linear trend:"
-                " its fit or its transfer overflows float64"
-            )
+            raise NgramcastError(f"values up to {np.abs(qv).max():g} are too large for the"
+                                 " linear trend: its fit or its transfer overflows float64")
+    if not math.isfinite(match.score):  # an L1 sum past float64, or nan when every key is nan
+        raise NgramcastError(f"values up to {np.abs(qv).max():g} are too large for the"
+                             f" {config.criterion.value} criterion: the best window's score"
+                             " overflows float64")
     return Forecast(tuple(values), matched_start=match.start, score=match.score, method=method)
 
 
@@ -178,8 +182,6 @@ def forecast_holt(series: TimeSeries, config: HoltConfig) -> Forecast:
         trend = (1.0 - phi) * (level - prev) + phi * trend
     values = tuple(level + j * trend for j in range(1, config.horizon + 1))
     if not all(map(math.isfinite, values)):
-        raise NgramcastError(
-            f"values up to {max(map(abs, x)):g} are too large for Holt smoothing:"
-            " the level and trend overflow float64"
-        )
+        raise NgramcastError(f"values up to {max(map(abs, x)):g} are too large for Holt"
+                             " smoothing: the level and trend overflow float64")
     return Forecast(values, matched_start=0, score=0.0, method="holt")

@@ -75,10 +75,12 @@ class LinearTrend:
 
 
 def quantize(series: TimeSeries, levels: int) -> tuple[TimeSeries, QuantizationGrid]:
-    """Map every value to the nearest of levels+1 grid points over [min, max].
+    """Map every value v to grid point floor((v - min) / step + 0.5) of levels+1 over [min, max].
 
-    Exact midpoints go up. The grid is built from the series' own min and
-    max, so those two values map to themselves exactly.
+    The float quotient decides: where it is k + 0.5 the value goes up, but rounding (of the
+    step, above all) can put an exact midpoint's quotient a few ulps below k + 0.5, and then
+    it goes down. The grid is built from the series' own min and max, so those two values map
+    to themselves exactly.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
@@ -90,14 +92,11 @@ def quantize(series: TimeSeries, levels: int) -> tuple[TimeSeries, QuantizationG
         raise NgramcastError("constant series: quantization grid is undefined")
     step = (vmax - vmin) / levels
     if not math.isfinite(step):
-        raise NgramcastError(
-            f"value range [{vmin}, {vmax}] is too wide: max - min overflows float64"
-        )
+        raise NgramcastError(f"value range [{vmin}, {vmax}] is too wide: max - min overflows"
+                             " float64")
     if step == 0.0:
-        raise NgramcastError(
-            f"value range [{vmin}, {vmax}] is too narrow for {levels} levels:"
-            " the grid step underflows float64"
-        )
+        raise NgramcastError(f"value range [{vmin}, {vmax}] is too narrow for {levels} levels:"
+                             " the grid step underflows float64")
     idx = np.floor((series.values - vmin) / step + 0.5)
     idx = np.clip(idx, 0, levels)
     out = vmin + idx * step

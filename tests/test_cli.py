@@ -401,12 +401,15 @@ SERIES = {
     "sine-then-flat": _text([math.sin(k / 4) for k in range(1, 61)] + [0.5] * 20),
     "thirds": _text([1 / 3] * 11 + [0.9]),
     "huge-errors": _text(["1e308"] * 10 + ["-1e308"]),
+    "huge-tail": _text([0.0] * 55 + [1.5e308] * 5),
+    "huge-tail-then-zeros": _text([0.0] * 55 + [1.5e308] * 5 + [0.0] * 5),
 }
 _HUGE = 10**400  # past float64
 _TOO_LARGE = ("error: multiplier {} times horizon {} is too large:"
               " the window length must be below 2^53\n")
 _BELOW = "error: derived window length {} is below {} (horizon={}, multiplier={}){}\n"
 _SHORT = "error: series length {} is below the minimum required length {}{}\n"
+_SIGN = ": r of {} {}points is +1 or -1, so it would carry only a sign"
 _HINT = (": the default --multiplier {} makes a window of {} at --horizon {};"
          " a smaller --multiplier needs fewer rows")
 
@@ -466,8 +469,14 @@ STDERR = [
     # the matcher once picked start 296 here, with r = 1.0 from the rounding in flat residues
     ("test_window_of_2_under_a_linear_trend_is_one_line_error", "backtest",
      "--horizon 1 --multiplier 1.5 --criterion correlation --trend linear", "noisy-300", 1,
-     _BELOW.format(2, 3, 1, 1.5, ": a line fits any 2 points, so a detrended window of 2 is only"
-                                 " rounding noise")),
+     _BELOW.format(2, 4, 1, 1.5, _SIGN.format(3, "detrended "))),
+    ("window-of-2-under-correlation", "forecast backtest",
+     "--horizon 1 --multiplier 1.5 --criterion correlation", "noisy-300", 1,
+     _BELOW.format(2, 3, 1, 1.5, _SIGN.format(2, ""))),
+    # the default multiplier 2.25 makes a window of 3 at --horizon 1: the line names it
+    ("default-window-of-3-under-correlation-and-a-linear-trend", "forecast backtest",
+     "--horizon 1 --criterion correlation --trend linear", "noisy-300", 1,
+     _BELOW.format(3, 4, 1, 2.25, _SIGN.format(3, "detrended "))),
     ("test_missing_input_file", "forecast", "--horizon 5", "missing", 1,
      "error: file not found: {input}\n"),
     ("test_too_short_names_minimum", "forecast", "--horizon 20", "mod-7", 1,
@@ -494,6 +503,11 @@ STDERR = [
     ("test_constant_candidates_under_correlation_are_one_line_error", "forecast",
      "--horizon 1 --multiplier 9.5 --criterion correlation --trend linear", "thirds", 1,
      "error: every candidate window was excluded under the correlation criterion\n"),
+    # the best window's L1 score was Infinity in the report; a backtest holds out 5 zeros
+    *((f"score-past-float64-{subcommand}", subcommand, "--horizon 5", series, 1,
+       "error: values up to 1.5e+308 are too large for the difference criterion: the best"
+       " window's score overflows float64\n")
+      for subcommand, series in [("forecast", "huge-tail"), ("backtest", "huge-tail-then-zeros")]),
     ("test_errors_past_float64_are_one_line_error", "backtest", "--horizon 1 --method holt",
      "huge-errors", 1, "error: the forecast errors are too large: RMSE overflows float64\n"),
     ("test_multiplier_warning_does_not_fail", "forecast", "--horizon 3 --multiplier 1", "paper",

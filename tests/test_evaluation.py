@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ngramcast import (
-    BacktestReport,
     ForecastConfig,
     GeneratorSpec,
     HoltConfig,
@@ -15,7 +14,6 @@ from ngramcast import (
     holdout_backtest,
 )
 from ngramcast.evaluation import clean_values, error_metrics, uniform_noise
-from ngramcast.series import NgramcastError, SeriesTooShort
 
 MASK64 = (1 << 64) - 1
 
@@ -83,24 +81,6 @@ class TestGenerator:
         # trend direction flips inside the observed span
         assert np.argmax(trend) not in (0, 99)
 
-    @pytest.mark.parametrize("fields, message", [
-        ({"kind": "sawtooth"}, r"^unknown generator kind 'sawtooth'$"),
-        ({"kind": "sinusoid", "slope": 0.1},
-         r"^slope and quadratic must be 0 for kind 'sinusoid'$"),
-        ({"length": 0}, r"^length must be >= 1, got 0$"),
-        # positions are float64, exact up to 2^53; the spec is refused before any allocation
-        ({"length": 2**53 + 1}, r"^length must be at most 2\^53, got 9007199254740993$"),
-        ({"amplitude": 0.0}, r"^amplitude must be > 0, got 0\.0$"),
-        ({"amplitude": -1.0}, r"^amplitude must be > 0, got -1\.0$"),
-        ({"noise": -0.5}, r"^noise half-width must be >= 0, got -0\.5$"),
-        ({"kind": "sinusoid-linear", "quadratic": 0.1},
-         r"^quadratic must be 0 for kind 'sinusoid-linear'$"),
-    ], ids=["kind", "sinusoid-slope", "length", "length-past-2^53", "zero-amplitude",
-            "negative-amplitude", "noise", "linear-quadratic"])
-    def test_kind_validation(self, fields, message):
-        with pytest.raises(ValueError, match=message):
-            GeneratorSpec(**fields)
-
 
 class TestMetrics:
     def test_perfect_forecast(self):
@@ -128,19 +108,6 @@ class TestMetrics:
         assert error_metrics([1, 1, 1], [1, 2, 3]).correlation is None
         # 1/3 and 0.1 have inexact float means: r would be rounding noise
         assert error_metrics(np.full(20, 1 / 3), np.full(20, 0.1)).correlation is None
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match=r"^length mismatch: 2 vs 3$"):
-            error_metrics([1, 2], [1, 2, 3])
-
-    def test_no_points_is_refused(self):
-        with pytest.raises(ValueError, match=r"^need at least 1 point to score, got 0$"):
-            error_metrics([], [])
-
-    def test_mae_above_rmse_is_refused(self):
-        # a relative bound: an RMSE that underflowed to 0 below a nonzero MAE is caught
-        with pytest.raises(ValueError, match=r"^MAE cannot exceed RMSE$"):
-            BacktestReport(6.7e-201, 0.0, None, 0, None)
 
     def test_correlation_none_for_one_point(self):
         m = error_metrics([1.5], [2.0])
@@ -170,7 +137,6 @@ class TestMetrics:
         # each ratio is 1, though one error is 10^400 times the other
         m = error_metrics([2e200, 2e-200], [1e200, 1e-200])
         assert (m.mae, m.mape) == (5e199, 100.0)
-
 
 
 class TestMetricsPastFloat64:
@@ -217,13 +183,6 @@ class TestMetricsPastFloat64:
         assert (m.mae, m.mape, m.mape_skipped) == (6e307, 150.0, 3)
         assert m.rmse == pytest.approx(1.5e308 * (2 / math.sqrt(5)), rel=1e-15)
 
-    @pytest.mark.parametrize("f, a", [([1.5e308], [-1.5e308]), ([1e308, -1e308], [-1e308, 1e308])])
-    def test_errors_past_float64_are_refused(self, f, a):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NgramcastError, match="RMSE overflows float64"):
-                error_metrics(f, a)
-
 
 class TestBacktest:
     def test_zero_noise_periodic_backtest(self):
@@ -252,21 +211,3 @@ class TestBacktest:
         tampered[-20:] = 99.0
         _, result2 = holdout_backtest(TimeSeries(tampered), config)
         assert result.values == result2.values
-
-    def test_too_short(self):
-        with pytest.raises(SeriesTooShort):
-            holdout_backtest(TimeSeries(np.arange(5.0)), HoltConfig(5))
-
-    def test_holt_needs_a_two_row_prefix(self):
-        with pytest.raises(SeriesTooShort) as caught:
-            holdout_backtest(TimeSeries([1.0, 2.0, 3.0]), HoltConfig(5))
-        assert caught.value.minimum == 7
-
-    @pytest.mark.parametrize("config, minimum", [
-        (ForecastConfig(horizon=5, multiplier=1.0), 16), (HoltConfig(6), 8)], ids=["phrase", "holt"])
-    def test_too_short_prefix_names_the_whole_series(self, config, minimum):
-        # the prefix's own minimum plus the held-out tail, over the caller's 7 values
-        with pytest.raises(SeriesTooShort, match=rf"^series length 7 is below the minimum"
-                                                 rf" required length {minimum}$") as caught:
-            holdout_backtest(generate(GeneratorSpec(length=7)), config)
-        assert caught.value.minimum == minimum

@@ -4,11 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from ngramcast import (
-    Forecast,
     ForecastConfig,
     HoltConfig,
     SimilarityCriterion,
@@ -18,7 +17,7 @@ from ngramcast import (
 )
 from ngramcast.evaluation import GeneratorSpec, clean_values, generate, uniform_noise
 from ngramcast.forecasting import forecast_holt
-from ngramcast.series import NgramcastError, NoValidCandidate, SeriesTooShort, quantize
+from ngramcast.series import NgramcastError, quantize
 
 DIFF = SimilarityCriterion.DIFFERENCE
 CORR = SimilarityCriterion.CORRELATION
@@ -34,46 +33,9 @@ class TestWindowLength:
     def test_exact_product_not_rounded(self):
         assert ForecastConfig(10, 1.5).window_length == 15
 
-    def test_window_too_small(self):
-        message = r"^derived window length 1 is below 2 \(horizon=1, multiplier=0\.5\)$"
-        with pytest.raises(ValueError, match=message):
-            ForecastConfig(1, 0.5)
-
-    def test_a_linear_trend_needs_a_window_of_3(self):
-        # a line fits any 2 points: N = 2 would match rounding noise
-        message = (r"^derived window length 2 is below 3 \(horizon=1, multiplier=1\.5\): a line"
-                   r" fits any 2 points, so a detrended window of 2 is only rounding noise$")
-        with pytest.raises(ValueError, match=message):
-            ForecastConfig(1, 1.5, trend_mode=TrendMode.LINEAR)
-        with pytest.warns(UserWarning, match="outside recommended"):  # no trend: N = 2 is kept
+    def test_no_trend_keeps_a_window_of_2(self):
+        with pytest.warns(UserWarning, match="outside recommended"):
             assert ForecastConfig(1, 1.5).window_length == 2
-
-    def test_window_of_one_at_a_longer_horizon(self):
-        # a multiplier below 2 / P leaves one row of window whatever the horizon
-        message = r"^derived window length 1 is below 2 \(horizon=5, multiplier=0\.2\)$"
-        with pytest.raises(ValueError, match=message):
-            ForecastConfig(5, 0.2)
-
-    @pytest.mark.parametrize("multiplier, shown", [(0, "0"), (-1.0, r"-1\.0"), (math.nan, "nan")],
-                             ids=["zero", "negative", "nan"])
-    def test_multiplier_not_above_0(self, multiplier, shown):
-        with pytest.raises(ValueError, match=rf"^multiplier must be > 0, got {shown}$"):
-            ForecastConfig(5, multiplier)
-
-    def test_overflowing_product_names_horizon_and_multiplier(self):
-        message = (r"^multiplier 1e\+308 times horizon 5 is too large:"
-                   r" the window length must be below 2\^53$")
-        with pytest.raises(ValueError, match=message):
-            ForecastConfig(5, 1e308)
-
-    @pytest.mark.parametrize("horizon, multiplier, shown", [
-        (5, 1e300, r"1e\+300"), (4, 2.5e15, r"2500000000000000\.0")], ids=["5e300", "1e16"])
-    def test_inexact_product_names_horizon_and_multiplier(self, horizon, multiplier, shown):
-        # 5e300 and 1e16 are finite, but ceil is exact only below 2^53
-        message = (rf"^multiplier {shown} times horizon {horizon} is too large:"
-                   r" the window length must be below 2\^53$")
-        with pytest.raises(ValueError, match=message):
-            ForecastConfig(horizon, multiplier)
 
     @seed(20261019)
     @settings(deadline=None, database=None)
@@ -85,34 +47,8 @@ class TestWindowLength:
             config = ForecastConfig(horizon, float(repr((window - 0.5) / horizon)))
         assert config.window_length == window
 
-    def test_horizon_below_1(self):
-        with pytest.raises(ValueError, match=r"^horizon must be >= 1, got 0$"):
-            ForecastConfig(horizon=0)
-
-    def test_levels_below_1(self):
-        with pytest.raises(ValueError, match=r"^levels must be >= 1, got 0$"):
-            ForecastConfig(5, levels=0)
-
-    @pytest.mark.parametrize("levels", [2**63, 10**400], ids=["2^63", "1e400"])
-    def test_levels_from_2_to_the_63(self, levels):
-        # a grid index must fit in int64, and levels past float64 would overflow in quantize
-        with pytest.raises(ValueError, match=rf"^levels must be below 2\^63, got {levels}$"):
-            ForecastConfig(5, levels=levels)
+    def test_levels_up_to_2_to_the_63(self):
         assert ForecastConfig(5, levels=2**63 - 1).levels == 2**63 - 1
-
-    @pytest.mark.parametrize("multiplier, shown", [(None, r"1\.0"), (1e-300, "1e-300")],
-                             ids=["default", "tiny"])
-    def test_horizon_past_float64(self, multiplier, shown):
-        # 10^400 does not convert to float64; 2^53 / 10^400 is 0.0, so every multiplier fails
-        message = (rf"^multiplier {shown} times horizon {10**400} is too large:"
-                   r" the window length must be below 2\^53$")
-        with pytest.raises(ValueError, match=message):
-            ForecastConfig(10**400, multiplier)
-
-
-def test_forecast_refuses_values_that_are_not_finite():
-    with pytest.raises(ValueError, match=r"^forecast values must all be finite$"):
-        Forecast((math.nan,), 0, 0.0, "holt")
 
 
 class TestMultiplierCheck:
@@ -186,11 +122,6 @@ class TestLinguistic:
             result = forecast(series, config)
         assert result.values == (5.0,) * 7
 
-    def test_too_short(self):
-        series = TimeSeries(np.arange(40, dtype=float) % 7)
-        with pytest.raises(SeriesTooShort):
-            forecast(series, ForecastConfig(horizon=20, multiplier=1.0))
-
     def test_shift_equivariance(self):
         rng = np.random.RandomState(21)
         vals = rng.randint(0, 20, size=90).astype(float)
@@ -251,15 +182,6 @@ class TestLinguoCorrelation:
         result = forecast(series, config)
         assert np.allclose(result.values, [101, 102, 103, 104, 105], atol=1e-9)
 
-    def test_pure_line_correlation_has_no_candidate(self):
-        series = TimeSeries(np.arange(1.0, 101.0))
-        config = ForecastConfig(
-            horizon=5, multiplier=2.0, levels=99, criterion=CORR,
-            trend_mode=TrendMode.LINEAR,
-        )
-        with pytest.raises(NoValidCandidate):
-            forecast(series, config)
-
     def test_exact_limit_with_fine_grid(self):
         # exactly periodic pattern + exact line, huge S: forecast is exact
         pattern = np.array([0.0, 1.0, 2.0, 1.0, 0.0, -1.0, -2.0, -1.0])
@@ -299,14 +221,6 @@ class TestLinguoCorrelation:
         assert got.matched_start == want.matched_start == 56
         assert got.score.hex() == want.score.hex()
 
-    @pytest.mark.parametrize("criterion", [DIFF, CORR], ids=["difference", "correlation"])
-    def test_overflowing_trend_is_a_library_error(self, criterion):
-        # the trend fits of the query and of every candidate overflow: no numpy warning escapes
-        series = TimeSeries(1e306 * np.arange(1, 61))
-        config = ForecastConfig(horizon=20, criterion=criterion, trend_mode=TrendMode.LINEAR)
-        with pytest.raises(NgramcastError, match="^values up to 6e\\+307 are too large for the linear"):
-            forecast(series, config)
-
 
 class TestHolt:
     def test_constant_series(self):
@@ -329,15 +243,6 @@ class TestHolt:
         result = forecast_holt(series, HoltConfig(2, xi=0.5, phi=0.5))
         assert result.values == pytest.approx((5.4375, 6.5), abs=1e-12)
 
-    def test_too_short(self):
-        with pytest.raises(SeriesTooShort):
-            forecast_holt(TimeSeries(np.array([1.0])), HoltConfig(3))
-
-    def test_overflow_is_a_library_error(self):
-        series = TimeSeries(1e308 * np.array([1.0, -1.5] * 10))
-        with pytest.raises(NgramcastError, match="^values up to 1.5e\\+308 are too large for Holt"):
-            forecast_holt(series, HoltConfig(5))
-
     def test_forecast_runs_holt_for_a_holt_config(self):
         series = generate(GeneratorSpec(length=60, noise=0.2, seed=5))
         for horizon, xi, phi in [(1, 0.5, 0.5), (7, 0.2, 0.9), (20, 1.0, 0.0)]:
@@ -345,19 +250,6 @@ class TestHolt:
             got, want = forecast(series, config), forecast_holt(series, config)
             assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
             assert (got.matched_start, got.score, got.method) == (0, 0.0, "holt")
-
-    def test_coefficient_bounds(self):
-        with pytest.raises(ValueError):
-            HoltConfig(5, xi=1.5)
-        with pytest.raises(ValueError):
-            HoltConfig(5, phi=-0.1)
-
-    def test_horizon_is_checked_after_the_coefficients(self):
-        # with two bad values the CLI names the same one as when the horizon was checked later
-        with pytest.raises(ValueError, match="^horizon must be >= 1, got 0$"):
-            HoltConfig(0)
-        with pytest.raises(ValueError, match="^xi must be in"):
-            HoltConfig(0, xi=2.0)
 
 
 def test_k2000_scan_keeps_its_bits():
@@ -395,9 +287,13 @@ MODES = [(c, t) for c in SimilarityCriterion for t in TrendMode] + ["holt"]
        multiplier=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 5.0]),
        levels=st.integers(1, 10**6) | st.integers(1, 64),
        smoothing=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+# the best window's L1 score overflows to inf, though every value is finite
+@example(shape=[0.0] * 55 + [1.5] * 5, exponent=308, mode=MODES[0], horizon=5, multiplier=1.0,
+         levels=32, smoothing=(0.5, 0.5))
 def test_forecast_is_finite_or_library_error(shape, exponent, mode, horizon, multiplier, levels,
                                              smoothing):
-    """Any scale, length, horizon, multiplier and levels: a finite forecast or an NgramcastError."""
+    """Any scale, length, horizon, multiplier and levels: a finite forecast and score, or an
+    NgramcastError."""
     with np.errstate(over="ignore"):
         values = np.array(shape) * 10.0**exponent
     assume(np.isfinite(values).all())
@@ -419,4 +315,4 @@ def test_forecast_is_finite_or_library_error(shape, exponent, mode, horizon, mul
         except NgramcastError:
             return
     assert len(result.values) == horizon
-    assert all(math.isfinite(v) for v in result.values)
+    assert all(math.isfinite(v) for v in (*result.values, result.score))
