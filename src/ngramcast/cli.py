@@ -131,11 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_forecast = sub.add_parser("forecast", help="forecast a series from a CSV file")
-    _add_forecast_flags(p_forecast)
-
-    p_backtest = sub.add_parser("backtest", help="forecast with mandatory holdout scoring")
-    _add_forecast_flags(p_backtest)
+    for name, text in [("forecast", "forecast a series from a CSV file"),
+                       ("backtest", "forecast with mandatory holdout scoring")]:
+        _add_forecast_flags(sub.add_parser(name, help=text))
 
     p_gen = sub.add_parser("generate", help="write a synthetic series CSV")
     for field in dataclasses.fields(GeneratorSpec):

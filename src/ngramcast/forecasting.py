@@ -99,6 +99,8 @@ class HoltConfig:
             raise ValueError(f"phi must be in [0, 1], got {self.phi}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if self.horizon > 2**53:  # forecast_holt's steps j = 1..P are exact in float64 up to 2^53
+            raise ValueError(f"horizon must be at most 2^53, got {self.horizon}")
 
 
 @dataclass(frozen=True)

@@ -270,13 +270,24 @@ def test_k2000_scan_keeps_its_bits():
     assert digest.hexdigest() == "1dabcb12d67b5a8ea098d465eb4a996d77e48b5d75e4918f1102d2ee3d2d0a29"
 
 
+# value scales from subnormal to near the float64 limit, the extremes drawn often; shared, so
+# that a shape can be drawn for the scale it is multiplied by
+EXPONENTS = st.shared(st.integers(-320, 307) | st.sampled_from([-320, -160, 306, 307]),
+                      key="exponent")
+
+
+def _plateau(flat, width, exponent):
+    """A flat run, then a plateau that the scale 10^exponent takes to 1.5e308 (to 1.5e307 at
+    most if the scale is 1 or below): at a horizon of 2 or more its best L1 score overflows."""
+    return [0.0] * flat + [1.5 * 10.0 ** (308 - max(exponent, 1))] * width
+
+
 SHAPES = st.one_of(
     st.lists(st.floats(-1, 1), min_size=1, max_size=60),
     st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=60),
     st.integers(1, 60).map(lambda k: [float(i) for i in range(1, k + 1)]),
+    st.builds(_plateau, st.integers(1, 55), st.integers(2, 5), EXPONENTS),
 )
-# value scales from subnormal to near the float64 limit, the extremes drawn often
-EXPONENTS = st.integers(-320, 307) | st.sampled_from([-320, -160, 306, 307])
 MODES = [(c, t) for c in SimilarityCriterion for t in TrendMode] + ["holt"]
 
 

@@ -6,9 +6,10 @@ give the same values bit for bit, the same SHA-256 of the file, and the same
 error message, which names the first bad row and its text.
 """
 
+import errno
 import hashlib
-import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from ngramcast import cli
-from ngramcast.cli import ingest_csv, main
+from ngramcast.cli import ingest_csv
 from ngramcast.series import NgramcastError, TimeSeries
 
 
@@ -116,6 +117,8 @@ def test_matches_reference_parser(text, tmp_path):
     "a,1\nb,2,3\n4\n",  # as many commas as rows, but not one per row
     "t,v\nb,1\nc\n",
     "1\n\n  \n2\r\n3,4\r\n",
+    "1\nabc\n",
+    *(text for bad in ["nan", "inf", "-inf"] for text in [f"{bad}\n2\n", f"1\n{bad}\n"]),
 ])
 def test_first_bad_row_wins(text, tmp_path):
     path = tmp_path / "s.csv"
@@ -125,12 +128,15 @@ def test_first_bad_row_wins(text, tmp_path):
 
 
 @pytest.mark.parametrize("text, values", [
+    ("1\n2\n3\n", [1, 2, 3]),
+    ("date,count\n2021-01-01,7\n2021-01-02,9\n", [7, 9]),
+    # a BOM glued to the first value once made that row look like a header, and lost it
     ("\ufeff1.5\n2.5\n3.5\n", [1.5, 2.5, 3.5]),
     ("\ufeffvalue\n1.5\n2.5\n", [1.5, 2.5]),
     ("\ufeffdate,value\na,1.5\n", [1.5]),
-], ids=["values", "header", "two-columns"])
-def test_leading_byte_order_mark_is_dropped(text, values, tmp_path):
-    # a BOM glued to the first value once made that row look like a header, and lost it
+], ids=["single-column", "two-columns-with-header", "bom-values", "bom-header",
+        "bom-two-columns"])
+def test_pinned_values(text, values, tmp_path):
     path = tmp_path / "s.csv"
     path.write_bytes(text.encode("utf-8"))
     series, digest = ingest_csv(path)
@@ -183,7 +189,7 @@ def test_pieces_are_cut_right_after_newlines(text, monkeypatch):
 
 
 class TestShortInputs:
-    """One data row is a one-point series: constant for the phrase method, too short for Holt."""
+    """One data row is a one-point series; a header or blank lines alone hold no data."""
 
     def test_one_row_is_a_one_point_series(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -197,28 +203,17 @@ class TestShortInputs:
         series, _ = ingest_csv(path)
         assert series.values.tolist() == [4.5]
 
-    @pytest.mark.parametrize("text", ["value\n", "date,value\n", "\n \n"])
+    @pytest.mark.parametrize("text", ["value\n", "date,value\n", "\n \n", "\n"])
     def test_header_only_is_empty(self, tmp_path, text):
         path = tmp_path / "s.csv"
         path.write_text(text)
         with pytest.raises(NgramcastError, match=f"^no data rows in {re.escape(str(path))}$"):
             ingest_csv(path)
 
-    @pytest.mark.parametrize("text", ["4.5\n", "date,value\n2021-01-01,4.5\n"])
-    def test_one_point_forecast_is_one_line_error(self, tmp_path, capsys, text):
-        path = tmp_path / "s.csv"
-        path.write_text(text)
-        rc = main(["forecast", "--input", str(path), "--horizon", "1", "--method", "holt"])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err == "error: series length 1 is below the minimum required length 2\n"
 
-    def test_one_point_phrase_forecast_is_the_constant(self, tmp_path, capsys):
-        path = tmp_path / "s.csv"
-        path.write_text("date,value\n2021-01-01,4.5\n")
-        report = tmp_path / "report.json"
-        rc = main(["forecast", "--input", str(path), "--horizon", "2", "--multiplier", "3",
-                   "--report", str(report)])
-        assert rc == 0
-        assert json.loads(report.read_text())["forecast"]["values"] == [4.5, 4.5]
-        assert "warning: constant series" in capsys.readouterr().err
+def test_missing_file(tmp_path):
+    path = tmp_path / "nope.csv"
+    with pytest.raises(FileNotFoundError) as caught:
+        ingest_csv(path)
+    assert (type(caught.value), str(caught.value)) == (
+        FileNotFoundError, f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(path)!r}")

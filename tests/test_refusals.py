@@ -86,6 +86,9 @@ REFUSALS = [
         ("test_coefficient_bounds-phi", (5, 0.5, -0.1), "phi must be in [0, 1], got -0.1"),
         ("test_horizon_is_checked_after_the_coefficients-horizon", (0,),
          "horizon must be >= 1, got 0"),
+        # forecast_holt's steps j = 1..P are exact in float64 up to 2^53, as generate's positions
+        ("holt-horizon-past-2^53", (2**53 + 1,),
+         "horizon must be at most 2^53, got 9007199254740993"),
         ("test_horizon_is_checked_after_the_coefficients-xi", (0, 2.0),
          "xi must be in [0, 1], got 2.0")]),
     ("test_forecast_refuses_values_that_are_not_finite", partial(Forecast, (math.nan,), 0, 0.0,
