@@ -48,6 +48,8 @@ SERIES = {
     "one-row": b"4.5\n",
     "labelled-one-row": b"date,value\n2021-01-01,4.5\n",
     "utf16": b"\xff\xfe1\x00\n\x00",
+    "x-on-line-4": b"1\n\n2\nx\n",
+    "header-only": b"date,value\n",
     "sine-then-flat": _text([math.sin(k / 4) for k in range(1, 61)] + [0.5] * 20),
     "thirds": _text([1 / 3] * 11 + [0.9]),
     "zeros-then-1e12": _text([0] * 25 + [1e12] * 5),
@@ -191,6 +193,11 @@ RUNS = [
      "--horizon 5 --input .", None, 1, f"error: cannot read .: {_EISDIR}\n"),
     ("TestForecastCommand.test_unusable_path_is_one_line_error-utf16", "forecast", "--horizon 5",
      "utf16", 1, "error: s.csv is not UTF-8 text\n"),
+    # rows are counted without blank lines, a header included
+    ("parse-error-names-the-row", "forecast backtest", "--horizon 5", "x-on-line-4", 1,
+     "error: row 3: cannot parse 'x'\n"),
+    ("no-data-rows", "forecast backtest", "--horizon 5", "header-only", 1,
+     "error: no data rows in s.csv\n"),
     ("TestForecastCommand.test_too_large_values_are_one_line_error-range", "forecast",
      "--horizon 5", "wide", 1,
      "error: value range [-1e+308, 1e+308] is too wide: max - min overflows float64\n"),
