@@ -159,13 +159,8 @@ def _run_forecast(args) -> int:
         if args.method == "holt":
             config = HoltConfig(horizon, args.xi, args.phi)
         else:
-            config = ForecastConfig(
-                horizon=horizon,
-                multiplier=args.multiplier,
-                levels=args.levels,
-                criterion=SimilarityCriterion(args.criterion),
-                trend_mode=TrendMode(args.trend),
-            )
+            config = ForecastConfig(horizon, args.multiplier, args.levels, args.criterion,
+                                    args.trend)
         series, digest = ingest_csv(args.input)  # after the config: a bad flag fails first
         try:
             if holdout:

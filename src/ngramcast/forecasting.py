@@ -34,7 +34,8 @@ class ForecastConfig:
     Window length N (window_length) is ceil(multiplier * horizon), an exact product not rounded
     up; the multiplier (N - 0.5) / horizon gives a window of N. The multiplier M defaults to
     1.0 for P >= 5 and to 2.25 for P < 5, the shortest windows in range; an M outside its
-    recommended range (multiplier_check) is a warning.
+    recommended range (multiplier_check) is a warning. A criterion or trend_mode given as its
+    value ("correlation", "linear") becomes the member.
     """
 
     horizon: int
@@ -58,6 +59,8 @@ class ForecastConfig:
         if not self.multiplier < 2**53 / self.horizon:  # ceil is exact only below 2^53
             raise ValueError(f"multiplier {self.multiplier} times horizon {self.horizon} is too"
                              " large: the window length must be below 2^53")
+        object.__setattr__(self, "criterion", SimilarityCriterion(self.criterion))
+        object.__setattr__(self, "trend_mode", TrendMode(self.trend_mode))
         linear = self.trend_mode is TrendMode.LINEAR
         correlation = self.criterion is SimilarityCriterion.CORRELATION
         if self.window_length < (minimum := 2 + linear + correlation):

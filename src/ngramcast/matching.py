@@ -59,12 +59,12 @@ def find_best_match(
         raise ValueError(f"window must be >= {2 + detrend_mode}, got {window}{_LINE * detrend_mode}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    difference = SimilarityCriterion(criterion) is SimilarityCriterion.DIFFERENCE  # or its value
     values = series.values
     k = values.size
     minimum = window + horizon + 1
     if k < minimum:
         raise SeriesTooShort(k, minimum)
-    difference = criterion is SimilarityCriterion.DIFFERENCE
     query = values[k - window :]
     if not difference and (query == query[0]).all():  # detrended, it would be rounding noise
         raise NoValidCandidate(f"the query, the last {window} values, is constant: r is undefined")

@@ -206,6 +206,15 @@ class TestLinguoCorrelation:
             == "linguo-correlation"
         )
 
+    @pytest.mark.parametrize("criterion", SimilarityCriterion, ids=lambda c: c.value)
+    @pytest.mark.parametrize("trend", TrendMode, ids=lambda t: t.value)
+    def test_a_mode_named_by_its_value_runs_that_mode(self, criterion, trend):
+        series = generate(GeneratorSpec(length=100, noise=0.15, seed=7))
+        config = ForecastConfig(20, criterion=criterion.value, trend_mode=trend.value)
+        assert (config.criterion, config.trend_mode) == (criterion, trend)
+        assert forecast(series, config) == forecast(series, ForecastConfig(20, None, 32, criterion,
+                                                                           trend))
+
     @pytest.mark.parametrize("trend, exponent", [
         *[(TrendMode.NONE, e) for e in (-1000, -560, -300, 500, 520, 1000)],
         # every detrending step stays a normal float at these scales

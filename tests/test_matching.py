@@ -67,9 +67,10 @@ def brute_force_best(values, n, p, criterion, detrend_mode):
 
 
 def checked_pick(values, n, p, criterion, detrend_mode):
-    """find_best_match's start, or None if it raises NoValidCandidate, once brute_force_best is
-    seen to agree: the same start and the same bits of the score, or no valid window."""
-    expected = brute_force_best(values, n, p, criterion, detrend_mode)
+    """find_best_match's WindowMatch, or None if it raises NoValidCandidate, once brute_force_best
+    is seen to agree: the same start and the same bits of the score, or no valid window. The
+    criterion is a member or its value."""
+    expected = brute_force_best(values, n, p, SimilarityCriterion(criterion), detrend_mode)
     if expected is None:
         with pytest.raises(NoValidCandidate):
             find_best_match(TimeSeries(values), n, p, criterion, detrend_mode)
@@ -77,7 +78,7 @@ def checked_pick(values, n, p, criterion, detrend_mode):
     match = find_best_match(TimeSeries(values), n, p, criterion, detrend_mode)
     assert (match.start, np.float64(match.score).tobytes()) == (
         expected[0], np.float64(expected[1]).tobytes()), (criterion, detrend_mode, expected, match)
-    return match.start
+    return match
 
 
 def exact_scores(idx, n, p, criterion, detrend_mode):
@@ -167,13 +168,6 @@ def test_pick_is_most_recent_exact_tie():
         assert start == (max(ties) if ties else None), (mode, start, ties)
 
 
-def with_query_at(values, start, n):
-    """A copy of values whose window at 1-based start repeats the query (last n values)."""
-    out = np.array(values, dtype=float)
-    out[start - 1 : start - 1 + n] = out[-n:]
-    return TimeSeries(out)
-
-
 SCAN_CASES = dict(
     chunks=st.sampled_from([(1, -1), (1, 0), (1, 1), (2, 37)]),
     n=st.sampled_from(range(3, 65)),  # uniform: hypothesis' integers favour the slow small n
@@ -213,56 +207,6 @@ def test_correlation_scan_keeps_the_bits_of_a_window_loop(chunks, n, p, exponent
         checked_pick(series.values, n, p, CORR, detrend_mode)
 
 
-A = 5e307  # windows of +-A detrend to an L1 sum that overflows; the fit of [A, A, A] overflows
-
-
-@pytest.mark.parametrize("values, classes, start", [
-    ([1e308, -A, A, A, A, A, A, 0.0], "inf nan nan nan nan", 1),  # nan loses to inf
-    ([A, 1e308, -A, A, A, A, A, 0.0], "nan inf nan nan nan", 2),
-    ([-A, A, 0.0, A, -A, 1e308, -A, 0.0], "inf nan inf nan nan", 3),  # equal infs: the latest
-    ([1e308, 0.0, -A, A, 1e308, -A, A, 0.0], "inf inf nan nan inf", 5),
-    ([A] * 7 + [0.0], "nan nan nan nan nan", 5),  # every score nan: the last start
-], ids=["inf-then-nan", "nan-then-inf", "inf-tie-then-nan", "inf-tie-last", "all-nan"])
-def test_difference_nan_and_inf_rule(values, classes, start):
-    """A nan score loses to every other, inf included; equal scores go to the latest start."""
-    keys = window_keys(values, 3, 1, DIFF, detrend_mode=True)
-    assert " ".join("nan" if math.isnan(v) else repr(v) for v in keys) == classes
-    assert checked_pick(values, 3, 1, DIFF, detrend_mode=True) == start
-
-
-@pytest.mark.parametrize("values, classes, start", [
-    ([1e308, A, 1e308, A, A, A, 1.0, 2.0, 0.0], "nan nan nan None", 3),  # the last valid start
-    ([1.0] * 6 + [1.0, 2.0, 0.0], "None None None None", None),
-    ([0.0, 2.0, 1.0, 7.0, 0.0, 2.0, 1.0, 9.0, 9.0, 3.0, 0.0, 1.0],
-     "-0.9999999999999999 1.0 -1.0 1.0 -0.9999999999999999 1.0 -0.9999999999999998", 6),
-    ([1e308, A, 1e308, 0.0, 1.0, 0.0, 1.0, 2.0, 0.0], "nan nan -1.0 1.0", 4),
-    ([0.0, 2.0, 1.0, 1e308, A, 1e308, 0.0, 2.0, 1.0, 5.0, 0.0, 2.0, 1.0],
-     "1.0 nan nan nan nan -1.0 1.0 -1.0", 7),
-], ids=["all-nan-then-flat", "all-flat", "equal-r-latest", "nan-then-r", "tie-across-nans"])
-def test_correlation_nan_and_flat_rule(values, classes, start):
-    """Under correlation a nan r loses to every other r, a window of equal raw values (None) is
-    not valid, equal r go to the latest start, and every valid r nan picks the last valid one."""
-    keys = window_keys(values, 3, 3, CORR, detrend_mode=True)
-    assert " ".join("None" if v is None else repr(-v) for v in keys) == classes  # r, not -r
-    assert checked_pick(values, 3, 3, CORR, detrend_mode=True) == start
-
-
-SINE_THEN_THIRDS = np.concatenate([np.sin(np.arange(1, 61) / 4), np.full(20, 1 / 3)])
-
-
-@pytest.mark.parametrize("values, n, p, criterion, detrend_mode, start", [
-    ([A, 1e308, -A, A, A, A, A, 0.0], 3, 1, DIFF, True, 2),  # scores nan, inf, nan, nan, nan
-    ([1 / 3] * 11 + [0.9], 10, 1, CORR, True, None),  # flat windows: detrended, r would be 0.0474
-    (SINE_THEN_THIRDS, 10, 5, CORR, False, None),  # a constant query: r is undefined
-    (SINE_THEN_THIRDS, 10, 5, CORR, True, None),  # detrended, it would be rounding noise
-], ids=["nan-then-inf", "flat-windows", "constant-query-none", "constant-query-linear"])
-def test_reference_keeps_the_documented_rules(values, n, p, criterion, detrend_mode, start):
-    """The rules a reference most easily misses, kept by the matcher and brute_force_best alike:
-    a nan score loses to inf, a window of equal raw values is excluded before it is detrended,
-    and a constant raw query excludes every window, detrended or not."""
-    assert checked_pick(values, n, p, criterion, detrend_mode) == start
-
-
 @pytest.mark.parametrize("detrend_mode", [False, True], ids=["none", "linear"])
 @pytest.mark.parametrize("criterion, k", [(DIFF, 10**6), (CORR, 10**5)],
                          ids=["difference", "correlation"])
@@ -282,159 +226,146 @@ def test_scan_memory_is_bounded(criterion, k, detrend_mode):
     assert peak < 8 * k * 8
 
 
-class TestCandidateStarts:
-    """Admissible starts are exactly 1..K-N-P+1, seen through the matcher's pick."""
 
-    def test_full_range(self):
-        # every start 1..61 is reachable: it wins when it is the only exact repeat
-        base = np.random.RandomState(20).uniform(0, 1, size=100)
-        picks = [find_best_match(with_query_at(base, s, 20), 20, 20, DIFF) for s in range(1, 62)]
-        assert [m.start for m in picks] == list(range(1, 62))
-        assert all(m.score == 0.0 for m in picks)
-        # nothing beyond 61: on a constant series every window ties at 0, so the
-        # most recent admissible start wins
-        assert find_best_match(TimeSeries(np.ones(100)), 20, 20, DIFF).start == 61
-
-    def test_boundary_candidates(self):
-        # K = 41, N = P = 20: starts 1 and 2 are reachable, 3 (= K-N-P+2) never is
-        base = np.random.RandomState(21).uniform(0, 1, size=41)
-        assert find_best_match(with_query_at(base, 1, 20), 20, 20, DIFF).start == 1
-        assert find_best_match(with_query_at(base, 2, 20), 20, 20, DIFF).start == 2
-        # on a constant series every window ties, so the most recent admissible start wins
-        assert find_best_match(TimeSeries(np.ones(41)), 20, 20, DIFF).start == 2
-
-    def test_query_never_a_candidate(self):
-        # the query's own window would score exactly 0 and win; no admissible window does
-        vals = np.random.RandomState(22).uniform(0, 1, size=100)
-        match = find_best_match(TimeSeries(vals), 20, 20, DIFF)
-        assert match.start != 100 - 20 + 1
-        assert match.score > 0.0
+A = 5e307  # windows of +-A detrend to an L1 sum that overflows; the fit of [A, A, A] overflows
+SINE_THEN_THIRDS = np.concatenate([np.sin(np.arange(1, 61) / 4), np.full(20, 1 / 3)])
+PERIODIC = np.tile(np.sin(2 * np.pi * np.arange(1, 26) / 25), 4)  # repeats are bit-exact
+RISE = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
 
-class TestScoring:
-    """Scores of one candidate/query pair: the candidate at start 1 is the best match."""
-
-    def test_identity_is_zero_difference(self):
-        match = find_best_match(TimeSeries([1, 2, 3, 9, 1, 2, 3]), 3, 1, DIFF)
-        assert (match.start, match.score) == (1, 0.0)
-
-    def test_single_element_difference(self):
-        # candidate [1, 2, 4] against the query [1, 2, 3]
-        match = find_best_match(TimeSeries([1, 2, 4, 20, 1, 2, 3]), 3, 1, DIFF)
-        assert (match.start, match.score) == (1, 1.0)
-
-    def test_correlation_shift_invariant(self):
-        # candidate [5, 6, 5, 4] against the query [0, 1, 0, -1]
-        match = find_best_match(TimeSeries([5, 6, 5, 4, 10, 0, 1, 0, -1]), 4, 1, CORR)
-        assert match.start == 1
-        assert match.score == pytest.approx(1.0)
-
-    def test_self_correlation_is_one(self):
-        match = find_best_match(TimeSeries([1, 3, 2, 5, 0, 1, 3, 2, 5]), 4, 1, CORR)
-        assert match.start == 1
-        assert match.score == pytest.approx(1.0)
-
-    def test_detrended_scoring(self):
-        # Same residual shape on different lines scores 0 / 1 after detrending:
-        # the candidate b at start 1 against the query a.
-        resid = np.array([0.5, -0.5, 0.5, -0.5])
-        a = resid + 2 * np.arange(1, 5) + 1
-        b = resid - 3 * np.arange(1, 5) + 10
-        series = TimeSeries(np.concatenate([b, [0.0], a]))
-        diff = find_best_match(series, 4, 1, DIFF, detrend_mode=True)
-        corr = find_best_match(series, 4, 1, CORR, detrend_mode=True)
-        assert diff.start == corr.start == 1
-        assert diff.score == pytest.approx(0.0, abs=1e-9)
-        assert corr.score == pytest.approx(1.0, abs=1e-9)
+def uniform(seed, k):
+    """K seeded uniform(0, 1) values."""
+    return np.random.RandomState(seed).uniform(0, 1, size=k)
 
 
-class TestFindBestMatch:
-    def test_periodic_exact_repeat(self):
-        # one period of samples tiled so repeats are bit-exact
-        # (fp sin(k) is not exactly periodic across periods)
-        pattern = np.sin(2 * np.pi * np.arange(1, 26) / 25)
-        series = TimeSeries(np.tile(pattern, 4))
-        match = find_best_match(series, 20, 20, DIFF)
-        assert match.start == 56
-        assert match.score == pytest.approx(0.0, abs=1e-12)
-        # brute-force confirms the zero score is unique among admissible starts
-        # except the in-phase repeats at 6, 31, 56
-        zero_starts = [
-            s
-            for s in range(1, 62)
-            if np.abs(series.values[s - 1 : s + 19] - series.values[80:]).sum() < 1e-9
-        ]
-        assert zero_starts == [6, 31, 56]
+def with_query_at(values, start, n):
+    """A copy of values whose window at 1-based start repeats the query (last n values)."""
+    out = np.array(values, dtype=float)
+    out[start - 1 : start - 1 + n] = out[-n:]
+    return out
 
-    def test_constructed_unique_match(self):
-        rng = np.random.RandomState(10)
-        vals = rng.uniform(0, 1, size=30)
-        vals[9:14] = vals[25:30]  # positions 10..14 repeat the last 5 values
-        series = TimeSeries(vals)
-        match = find_best_match(series, 5, 1, DIFF)
-        assert match.start == 10
-        assert match.score == 0.0
 
-    def test_tie_breaks_to_most_recent(self):
-        vals = np.zeros(60)
-        vals[54:] = [1, 2, 3, 4, 5, 6]
-        vals[9:15] = vals[54:]
-        vals[29:35] = vals[54:]
-        series = TimeSeries(vals)
-        match = find_best_match(series, 6, 1, DIFF)
-        assert match.start == 30
+def random_windows():
+    """25 draws of (draw, values, N, P): K in [20, 200) uniform(-3, 3) values, P in [1, 6)."""
+    rng = np.random.RandomState(11)
+    for draw in range(25):
+        values = rng.uniform(-3, 3, size=rng.randint(20, 200))
+        p = rng.randint(1, 6)
+        yield draw, values, rng.randint(2, (values.size - p - 1) // 2), p
 
-    @pytest.mark.parametrize("detrend_mode", [False, True], ids=["none", "linear"])
-    def test_constant_query_is_scored_under_difference(self, detrend_mode):
-        # correlation refuses it (test_refusals.py); the constant windows match it
-        assert find_best_match(TimeSeries(SINE_THEN_THIRDS), 10, 5, DIFF, detrend_mode).start == 66
 
-    @pytest.mark.parametrize("detrend_mode", [False, True], ids=["none", "linear"])
-    @pytest.mark.parametrize("tail", [0.9, -0.4])
-    def test_constant_candidates_are_scored_under_difference(self, detrend_mode, tail):
-        # correlation excludes both (test_refusals.py); they tie, and the later one wins
-        vals = [1 / 3] * 11 + [tail]
-        assert find_best_match(TimeSeries(vals), 10, 1, DIFF, detrend_mode).start == 2
+def affine_copies():
+    """10 draws of (draw, values, c * values + d) with c in [0.2, 4) and d in [-10, 10)."""
+    rng = np.random.RandomState(12)
+    for draw in range(10):
+        values = rng.uniform(-2, 2, size=80)
+        yield draw, values, rng.uniform(0.2, 4) * values + rng.uniform(-10, 10)
 
-    @pytest.mark.parametrize("criterion", [DIFF, CORR], ids=["difference", "correlation"])
-    def test_overflowing_candidate_loses(self, criterion):
-        # the trend fits of the first 30 windows overflow to a nan score, which must not win
-        rng = np.random.RandomState(14)
-        vals = np.sin(2 * np.pi * np.arange(1, 201) / 25) + rng.uniform(-0.15, 0.15, size=200)
-        vals[:30] *= 5e306
-        match = find_best_match(TimeSeries(vals), 20, 10, criterion, detrend_mode=True)
-        assert match.start > 30
-        assert np.isfinite(match.score)
 
-    def test_brute_force_equivalence(self):
-        rng = np.random.RandomState(11)
-        for _ in range(25):
-            k = rng.randint(20, 200)
-            vals = rng.uniform(-3, 3, size=k)
-            p = rng.randint(1, 6)
-            n = rng.randint(2, max(3, (k - p - 1) // 2))
-            if k < n + p + 1:
-                continue
-            for crit in (DIFF, CORR):
-                for dt in (False, True):
-                    if dt and n < 3:
-                        continue
-                    checked_pick(vals, n, p, crit, dt)
+def overflowing_head():
+    """A noisy sine whose first 30 values are scaled past a trend fit's reach."""
+    values = (np.sin(2 * np.pi * np.arange(1, 201) / 25)
+              + np.random.RandomState(14).uniform(-0.15, 0.15, size=200))
+    values[:30] *= 5e306
+    return values
 
-    def test_correlation_argmax_affine_invariant(self):
-        rng = np.random.RandomState(12)
-        for _ in range(10):
-            vals = rng.uniform(-2, 2, size=80)
-            series = TimeSeries(vals)
-            base = find_best_match(series, 10, 5, CORR)
-            c, d = rng.uniform(0.2, 4), rng.uniform(-10, 10)
-            scaled = TimeSeries(c * vals + d)
-            assert find_best_match(scaled, 10, 5, CORR).start == base.start
 
-    def test_monotone_exclusion(self):
-        rng = np.random.RandomState(13)
-        vals = rng.uniform(0, 1, size=100)
-        series = TimeSeries(vals)
-        for n, p in [(5, 5), (10, 10), (20, 20), (30, 30)]:
-            match = find_best_match(series, n, p, DIFF)
-            assert 1 <= match.start <= 100 - n - p + 1
+# (id, values, N, P, criterion, detrend_mode[, start[, score[, classes]]]): the pick's start, or
+# None for NoValidCandidate; its score; and each window's score class from window_keys, None for
+# an excluded window. A row that states nothing checks only agreement with brute_force_best.
+PICKS = [
+    # the window at start 1 is the best match
+    ("test_identity_is_zero_difference", [1, 2, 3, 9, 1, 2, 3], 3, 1, DIFF, False, 1, 0.0),
+    ("test_single_element_difference", [1, 2, 4, 20, 1, 2, 3], 3, 1, DIFF, False, 1, 1.0),
+    ("test_correlation_shift_invariant", [5, 6, 5, 4, 10, 0, 1, 0, -1], 4, 1, CORR, False, 1,
+     1.0),
+    ("test_self_correlation_is_one", [1, 3, 2, 5, 0, 1, 3, 2, 5], 4, 1, CORR, False, 1, 1.0),
+    # one residual shape [0.5, -0.5, 0.5, -0.5] on the lines 10 - 3x and 1 + 2x: detrended,
+    # r is 1 and the difference is 0 but for rounding
+    *((f"test_detrended_scoring-{crit.value}", [7.5, 3.5, 1.5, -2.5, 0.0, 3.5, 4.5, 7.5, 8.5], 4,
+       1, crit, True, 1, score) for crit, score in [(DIFF, 1.7763568394002505e-15), (CORR, 1.0)]),
+    ("test_constructed_unique_match", with_query_at(uniform(10, 30), 10, 5), 5, 1, DIFF, False,
+     10, 0.0),
+    # a mode named by its value runs that mode: correlation would pick 21 too, with r = 1.0
+    ("difference-named-by-its-value", np.arange(30.0) % 7, 3, 2, "difference", False, 21, 0.0),
+    # admissible starts are exactly 1..K-N-P+1: each wins when it alone repeats the query
+    *((f"test_full_range-{s}", with_query_at(uniform(20, 100), s, 20), 20, 20, DIFF, False, s, 0.0)
+      for s in range(1, 62)),
+    *((f"test_boundary_candidates-{s}", with_query_at(uniform(21, 41), s, 20), 20, 20, DIFF,
+       False, s, 0.0) for s in (1, 2)),
+    # on a constant series every window ties at 0, so the last admissible start wins
+    *((f"{name}-ones", np.ones(k), 20, 20, DIFF, False, k - 39, 0.0)
+      for name, k in [("test_full_range", 100), ("test_boundary_candidates", 41)]),
+    # the query's own window, at 81, would score 0
+    ("test_query_never_a_candidate", uniform(22, 100), 20, 20, DIFF, False, 19, 4.626448054325614),
+    # ties go to the latest start: the query [1..6] repeats at 10 and 30. The tiled sine repeats
+    # the query at 6, 31 and 56 alone: each P ends the admissible starts before the next repeat
+    ("test_tie_breaks_to_most_recent", np.concatenate([np.zeros(9), RISE, np.zeros(14), RISE,
+     np.zeros(19), RISE]), 6, 1, DIFF, False, 30, 0.0),
+    *((f"test_periodic_exact_repeat-P-{p}", PERIODIC, 20, p, DIFF, False, start, score)
+      for p, start, score in [(20, 56, 0.0), (26, 31, 0.0), (51, 6, 0.0),
+                              (76, 5, 3.041050397417932)]),
+    # a nan score loses to every other, inf included; equal scores go to the latest start
+    *((f"test_difference_nan_and_inf_rule-{case}", values, 3, 1, DIFF, True, start, score,
+       classes) for case, values, start, score, classes in [
+          ("inf-then-nan", [1e308, -A, A, A, A, A, A, 0.0], 1, math.inf, "inf nan nan nan nan"),
+          ("nan-then-inf", [A, 1e308, -A, A, A, A, A, 0.0], 2, math.inf, "nan inf nan nan nan"),
+          ("inf-tie-then-nan", [-A, A, 0.0, A, -A, 1e308, -A, 0.0], 3, math.inf,
+           "inf nan inf nan nan"),
+          ("inf-tie-last", [1e308, 0.0, -A, A, 1e308, -A, A, 0.0], 5, math.inf,
+           "inf inf nan nan inf"),
+          ("all-nan", [A] * 7 + [0.0], 5, math.nan, "nan nan nan nan nan")]),  # the last start
+    # under correlation a nan r loses to every other r, a window of equal raw values (None) is
+    # not valid, equal r go to the latest start, and every valid r nan picks the last valid one
+    *((f"test_correlation_nan_and_flat_rule-{case}", values, 3, 3, CORR, True, start, score,
+       classes) for case, values, start, score, classes in [
+          ("all-nan-then-flat", [1e308, A, 1e308, A, A, A, 1.0, 2.0, 0.0], 3, math.nan,
+           "nan nan nan None"),
+          ("all-flat", [1.0] * 6 + [1.0, 2.0, 0.0], None, None, "None None None None"),
+          ("equal-r-latest", [0.0, 2.0, 1.0, 7.0, 0.0, 2.0, 1.0, 9.0, 9.0, 3.0, 0.0, 1.0], 6, 1.0,
+           "-0.9999999999999999 1.0 -1.0 1.0 -0.9999999999999999 1.0 -0.9999999999999998"),
+          ("nan-then-r", [1e308, A, 1e308, 0.0, 1.0, 0.0, 1.0, 2.0, 0.0], 4, 1.0,
+           "nan nan -1.0 1.0"),
+          ("tie-across-nans", [0.0, 2.0, 1.0, 1e308, A, 1e308, 0.0, 2.0, 1.0, 5.0, 0.0, 2.0, 1.0],
+           7, 1.0, "1.0 nan nan nan nan -1.0 1.0 -1.0")]),
+    # the trend fits of the first 30 windows overflow to a nan score, which loses
+    *((f"test_overflowing_candidate_loses-{crit.value}", overflowing_head(), 20, 10, crit, True,
+       81, score) for crit, score in [(DIFF, 1.2754675321537887), (CORR, 0.9849715915761472)]),
+    # the rules a reference most easily misses, with nan-then-inf above: a window of equal raw
+    # values is excluded before it is detrended (r would be 0.0474), and a constant raw query
+    # excludes every window, detrended or not (detrended, it would be rounding noise)
+    ("test_reference_keeps_the_documented_rules-flat-windows", [1 / 3] * 11 + [0.9], 10, 1, CORR,
+     True, None),
+    *((f"test_reference_keeps_the_documented_rules-constant-query-{case}", SINE_THEN_THIRDS, 10,
+       5, CORR, dt, None) for case, dt in [("none", False), ("linear", True)]),
+    # difference scores what correlation refuses (tests/test_refusals.py): the constant windows
+    # match a constant query, and two constant candidates tie, so the later one wins
+    *((f"test_constant_query_is_scored_under_difference-{case}", SINE_THEN_THIRDS, 10, 5, DIFF,
+       dt, 66) for case, dt in [("none", False), ("linear", True)]),
+    *((f"test_constant_candidates_are_scored_under_difference-{tail}-{case}",
+       [1 / 3] * 11 + [tail], 10, 1, DIFF, dt, 2)
+      for tail in (0.9, -0.4) for case, dt in [("none", False), ("linear", True)]),
+    # the argmax of r is the unscaled series' pick under a positive affine map
+    *((f"test_correlation_argmax_affine_invariant-{draw}", scaled, 10, 5, CORR, False,
+       brute_force_best(values, 10, 5, CORR, False)[0])
+      for draw, values, scaled in affine_copies()),
+    # agreement alone: brute_force_best scores every admissible start, and only those
+    *((f"test_monotone_exclusion-{n}", uniform(13, 100), n, n, DIFF, False)
+      for n in (5, 10, 20, 30)),
+    *((f"test_brute_force_equivalence-{draw}-{crit.value}-{'linear' if dt else 'none'}", values,
+       n, p, crit, dt) for draw, values, n, p in random_windows() for crit in (DIFF, CORR)
+      for dt in (False, True) if n >= 3 or not dt),
+]
+
+
+@pytest.mark.parametrize("values, n, p, criterion, detrend_mode, expected", [
+    pytest.param(*row[:5], tuple(row[5:]), id=name) for name, *row in PICKS])
+def test_pick(values, n, p, criterion, detrend_mode, expected):
+    """The matcher's pick agrees with brute_force_best, bit for bit, and is what the row states:
+    compared by repr, so a score is compared by its bits, nan included."""
+    match = checked_pick(values, n, p, criterion, detrend_mode)
+    found = (None, None) if match is None else (match.start, match.score)
+    if len(expected) == 3:  # r, not -r, under correlation
+        found += (" ".join("None" if v is None else repr(v if criterion is DIFF else -v)
+                           for v in window_keys(values, n, p, criterion, detrend_mode)),)
+    assert list(map(repr, found[: len(expected)])) == list(map(repr, expected))

@@ -51,9 +51,11 @@ REFUSALS = [
                                   ("horizon", (2, 0, DIFF), "horizon must be >= 1, got 0"),
                                   ("detrended-window", (2, 1, DIFF, True),
                                    "window must be >= 3, got 2" + LINE)]),
+    ("find-best-match-unknown-criterion", partial(MATCH_40, 2, 1, "cosine"), ValueError,
+     "'cosine' is not a valid SimilarityCriterion"),
     # ForecastConfig(horizon, multiplier, levels, criterion, trend_mode). ceil is exact only
     # below 2^53: 1e308 overflows the product, 5e300 and 1e16 do not, and 10^400 is past float64.
-    # r of 2 points, or of 3 detrended, is only a sign
+    # A mode is its member or its value name. r of 2 points, or of 3 detrended, is only a sign
     *((name, partial(ForecastConfig, *args), ValueError, message) for name, args, message in [
         ("test_horizon_below_1", (0,), "horizon must be >= 1, got 0"),
         ("test_multiplier_not_above_0-zero", (5, 0), "multiplier must be > 0, got 0"),
@@ -70,12 +72,17 @@ REFUSALS = [
          TOO_LARGE.format("2500000000000000.0", 4)),
         ("test_horizon_past_float64-default", (HUGE,), TOO_LARGE.format("1.0", HUGE)),
         ("test_horizon_past_float64-tiny", (HUGE, 1e-300), TOO_LARGE.format("1e-300", HUGE)),
+        ("unknown-criterion", (5, None, 32, "cosine"),
+         "'cosine' is not a valid SimilarityCriterion"),
+        ("unknown-trend", (5, None, 32, DIFF, "quadratic"), "'quadratic' is not a valid TrendMode"),
         ("test_window_too_small", (1, 0.5), BELOW.format(1, 2, 1, 0.5, "")),
         ("test_window_of_one_at_a_longer_horizon", (5, 0.2), BELOW.format(1, 2, 5, 0.2, "")),
         ("test_a_linear_trend_needs_a_window_of_3", (1, 1.5, 32, DIFF, LINEAR),
          BELOW.format(2, 3, 1, 1.5, LINE)),
         ("correlation-window-2-below-3", (1, 1.5, 32, CORR),
          BELOW.format(2, 3, 1, 1.5, SIGN.format(2, ""))),
+        ("correlation-named-by-its-value-window-2-below-3", (1, 2.0, 32, "correlation"),
+         BELOW.format(2, 3, 1, 2.0, SIGN.format(2, ""))),
         ("correlation-linear-window-3-below-4", (1, None, 32, CORR, LINEAR),
          BELOW.format(3, 4, 1, 2.25, SIGN.format(3, "detrended "))),
         ("correlation-linear-window-2-below-4", (1, 1.5, 32, CORR, LINEAR),
