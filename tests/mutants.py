@@ -1,0 +1,156 @@
+"""The mutant table: each row is a small change to src/ngramcast that named tests must catch.
+
+Run it from any directory with `python tests/mutants.py`; it takes no flags and exits 0 only
+when every check holds. A row is (id, file under src/ngramcast, the exact text it replaces, the
+new text, the pytest node ids that must fail). The runner works on a copy of src/ in a
+temporary directory, never on the checkout, and runs pytest from the repository root with the
+copy as its pythonpath:
+
+- the unmutated copy must pass every node id of the table, and the same run must fail when an
+  import of the copy raises: so the copy is what the tests import;
+- for each row, the old text must occur exactly once in its file, so a stale row fails, and
+  with the new text in its place every node id of the row must fail.
+
+PYTHONPATH is dropped from the child's environment, since a checkout's src/ on it would
+shadow the copy, and no bytecode is written, so no stale .pyc of one mutant serves the next.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PICK = "tests/test_matching.py::test_pick[{}]".format
+QUANTIZE = "tests/test_series.py::test_quantize[{}]".format
+TREND = "tests/test_series.py::test_trend[{}]".format
+PEARSON = "tests/test_series.py::test_pearson[{}]".format
+METRICS = "tests/test_evaluation.py::test_metrics[{}]".format
+HOLT = "tests/test_forecasting.py::test_holt[{}]".format
+REFUSAL = "tests/test_refusals.py::test_refusal[{}]".format
+EVERY_RAISE = "tests/test_refusals.py::test_every_raise_site_is_reached"
+
+MUTANTS = [
+    # the matcher's pick: the least key that is not nan, ties to the latest admissible start
+    ("pick-ties-to-the-earliest-start", "matching.py",
+     "start = keys.size - int(np.argmax((valid if math.isnan(least) else keys == least)[::-1]))",
+     "start = 1 + int(np.argmax(valid if math.isnan(least) else keys == least))",
+     [PICK("test_tie_breaks_to_most_recent"), PICK("test_full_range-ones"),
+      PICK("test_periodic_exact_repeat-P-20"),
+      PICK("test_difference_nan_and_inf_rule-inf-tie-last"),
+      PICK("test_correlation_nan_and_flat_rule-equal-r-latest")]),
+    ("pick-a-nan-key-can-win", "matching.py", "least = np.fmin.reduce(keys)",
+     "least = np.min(keys)",
+     [PICK(f"test_difference_nan_and_inf_rule-{case}")
+      for case in ("inf-then-nan", "nan-then-inf", "inf-tie-then-nan")]
+     + [PICK("test_correlation_nan_and_flat_rule-tie-across-nans")]
+     + [PICK(f"test_overflowing_candidate_loses-{c}") for c in ("difference", "correlation")]),
+    ("pick-skips-the-last-admissible-start", "matching.py",
+     "sliding_window_view(values[: k - horizon], window)",
+     "sliding_window_view(values[: k - horizon - 1], window)",
+     [PICK("test_full_range-61"), PICK("test_boundary_candidates-2"),
+      PICK("test_periodic_exact_repeat-P-76")]),
+    ("pick-keeps-flat-windows-under-correlation", "matching.py",
+     "valid[lo : lo + step] = (chunk != chunk[:, :1]).any(axis=1)", "valid[lo : lo + step] = True",
+     [PICK("test_correlation_nan_and_flat_rule-all-nan-then-flat"),
+      PICK("test_reference_keeps_the_documented_rules-flat-windows")]),
+    # quantize: level floor((v - min) / step + 0.5), the top one pinned to max
+    ("quantize-ties-go-down", "series.py", "idx = np.floor((series.values - vmin) / step + 0.5)",
+     "idx = np.ceil((series.values - vmin) / step - 0.5)",
+     [QUANTIZE("test_midpoint_ties_round_up")]),
+    ("quantize-top-level-not-pinned", "series.py", "out = np.where(idx == levels, vmax, out)",
+     "out = out",
+     [QUANTIZE("test_endpoints_map_to_themselves-0"),
+      QUANTIZE("test_error_bound_and_idempotence-1")]),
+    # the least-squares line
+    ("trend-variance-loses-a-mean", "series.py",
+     "x_var = (x * x).sum() / x.size - x_mean * x_mean", "x_var = (x * x).sum() / x.size - x_mean",
+     [TREND("test_exact_line"), TREND("test_normal_equations_hand_solution"),
+      TREND("test_optimality_under_perturbation-0"),
+      TREND("test_detrend_then_fit_slope_near_zero-0")]),
+    # pearson: about a third of the affine rows give an unclamped r of +-1.0000000000000002
+    ("pearson-not-clamped", "series.py", "return max(-1.0, min(1.0, r))", "return r",
+     [PEARSON(f"test_range_and_affine_invariance-{draw}") for draw in (4, 10, 12)]),
+    # error_metrics
+    ("mape-counts-zero-actuals", "evaluation.py",
+     "mean = float(ratio.mean() * 100.0) if nonzero.any() else None",
+     "mean = float(ratio.sum() / a.size * 100.0) if nonzero.any() else None",
+     [METRICS("test_mape_skips_zero_actuals"),
+      METRICS("test_an_overflowing_error_keeps_the_small_ratios")]),
+    ("rmse-over-n-minus-1", "evaluation.py",
+     "rmse = math.ldexp(float(np.sqrt((unit * unit).mean())), e)",
+     "rmse = math.ldexp(float(np.sqrt((unit * unit).sum() / max(unit.size - 1, 1))), e)",
+     [METRICS("test_constant_offset"), METRICS("test_mae_never_exceeds_rmse-0")]),
+    # Holt's recurrence starts from x_1 and the trend x_2 - x_1
+    ("holt-trend-starts-at-0", "forecasting.py", "trend = x[1] - x[0]", "trend = 0.0",
+     [HOLT("test_exact_on_lines-0.5-0.5"), HOLT("test_hand_computed_recurrence"),
+      HOLT("test_forecast_runs_holt_for_a_holt_config-7")]),
+    # refusals, each reached by a row
+    ("generator-period-unchecked", "evaluation.py", "if not self.period > 0:",
+     "if self.period < 0:",
+     [REFUSAL("test_kind_validation-period-0"), REFUSAL("test_kind_validation-period-nan"),
+      EVERY_RAISE]),
+    ("quantize-wide-range-unchecked", "series.py", "if not math.isfinite(step):",
+     "if math.isnan(step):", [REFUSAL("value-range-too-wide"), EVERY_RAISE]),
+]
+
+
+def run_pytest(src: Path, nodes) -> subprocess.CompletedProcess:
+    """pytest on the node ids, from the repository root, importing ngramcast from src."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rf", "-o", f"pythonpath={src}",
+         "-p", "no:cacheprovider", *nodes],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=False)
+
+
+def last_line(run) -> str:
+    return (run.stdout.strip().splitlines() or [run.stderr.strip()])[-1]
+
+
+def main() -> int:
+    failures = []
+    nodes = sorted({node for *_, killers in MUTANTS for node in killers})
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        package = src / "ngramcast"
+        init = package / "__init__.py"
+        text = init.read_text(encoding="utf-8")
+        init.write_text('raise ImportError("the copy is imported")\n' + text, encoding="utf-8")
+        if run_pytest(src, nodes).returncode == 0:
+            failures.append("the tests do not import the copy")
+        init.write_text(text, encoding="utf-8")
+        run = run_pytest(src, nodes)
+        print(f"unmutated copy, {len(nodes)} node ids: {last_line(run)}")
+        if run.returncode != 0:
+            failures.append("the unmutated copy fails")
+        for name, file, old, new, killers in MUTANTS:
+            path = package / file
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                failures.append(f"{name}: its old text occurs {text.count(old)} times in {file}")
+                continue
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            try:
+                run = run_pytest(src, killers)
+            finally:
+                path.write_text(text, encoding="utf-8")
+            failed = {line[len("FAILED "):].split(" - ")[0] for line in run.stdout.splitlines()
+                      if line.startswith("FAILED ")}
+            survivors = [node for node in killers if node not in failed]
+            print(f"{name}: {last_line(run)}")
+            if run.returncode != 1 or survivors:
+                failures.append(f"{name} survives in {survivors or last_line(run)}")
+    print(f"{len(MUTANTS)} mutants, {len(failures)} failed checks")
+    for failure in failures:
+        print(f"FAILED: {failure}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

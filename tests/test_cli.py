@@ -329,6 +329,13 @@ RUNS = [
 ]
 
 
+def run_argv(subcommand, flags) -> list:
+    """A row's arguments: s.csv as the input, and every output file, before the row's flags."""
+    source = [] if subcommand == "generate" else [
+        "--input", "s.csv", "--report", "report.json", "--plot-data", "plot.csv"]
+    return [subcommand, *source, "--output", "out.csv", *flags.split()]
+
+
 def _reject(constant):
     raise ValueError(f"{constant} is not valid JSON")
 
@@ -347,9 +354,7 @@ def test_cli_run(tmp_path, monkeypatch, capsys, subcommands, flags, series, code
         names = ["out.csv"] if subcommand == "generate" else ["out.csv", "report.json", "plot.csv"]
         for name in names:
             Path(name).unlink(missing_ok=True)
-        source = [] if subcommand == "generate" else [
-            "--input", "s.csv", "--report", "report.json", "--plot-data", "plot.csv"]
-        rc = main([subcommand, *source, "--output", "out.csv", *flags.split()])
+        rc = main(run_argv(subcommand, flags))
         stdout, err = capsys.readouterr()
         assert (rc, stdout) == (code, ""), subcommand
         if code == 2:

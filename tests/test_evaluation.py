@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -14,6 +15,8 @@ from ngramcast import (
     holdout_backtest,
 )
 from ngramcast.evaluation import clean_values, error_metrics, uniform_noise
+from ngramcast.series import pearson
+from test_series import uniform_pairs
 
 MASK64 = (1 << 64) - 1
 
@@ -82,106 +85,82 @@ class TestGenerator:
         assert np.argmax(trend) not in (0, 99)
 
 
-class TestMetrics:
-    def test_perfect_forecast(self):
-        m = error_metrics([1, 2, 3], [1, 2, 3])
-        assert (m.mae, m.rmse, m.mape, m.mape_skipped) == (0.0, 0.0, 0.0, 0)
-        assert m.correlation == pytest.approx(1.0)
+# 20 predicted and 20 actual values, to be scaled by powers of two
+UNSCALED = np.random.RandomState(31).uniform(-5, 5, size=(2, 20))
 
-    def test_constant_offset(self):
-        m = error_metrics([2, 3, 4], [1, 2, 3])
-        assert m.mae == 1.0
-        assert m.rmse == 1.0
-        assert m.correlation == pytest.approx(1.0)
+# (id, predicted, actual, what error_metrics must give[, ulps]): each id names the test the row
+# replaced. ulps bounds MAE and MAPE against their exact means, and RMSE against the exact root
+# mean square: 2 unless the row states it.
+METRICS = [
+    ("test_perfect_forecast", [1, 2, 3], [1, 2, 3],
+     dict(mae=0.0, rmse=0.0, mape=0.0, mape_skipped=0, correlation=1.0)),
+    ("test_constant_offset", [2, 3, 4], [1, 2, 3], dict(mae=1.0, rmse=1.0, correlation=1.0)),
+    ("test_mape_skips_zero_actuals", [1, 1, 2], [0, 1, 1], dict(mape_skipped=1, mape=50.0)),
+    ("test_mape_none_when_all_zero", [1, 2], [0, 0], dict(mape=None, mape_skipped=2)),
+    # 1/3 and 0.1 have inexact float means: r would be rounding noise
+    *((f"test_correlation_none_when_constant-{case}", f, a, dict(correlation=None))
+      for case, f, a in [("ints", [1, 1, 1], [1, 2, 3]),
+                         ("inexact-means", np.full(20, 1 / 3), np.full(20, 0.1))]),
+    ("test_correlation_none_for_one_point", [1.5], [2.0],
+     dict(mae=0.5, rmse=0.5, mape=25.0, mape_skipped=0, correlation=None)),
+    *((f"test_mae_never_exceeds_rmse-{draw}", f, a, {})
+      for draw, f, a, _ in uniform_pairs(30, 50, (2, 40))),
+    # past about 2^512 the squared errors overflow float64, and below about 2^-511 they underflow
+    *((f"test_scaling_by_a_power_of_two_is_exact-{power}", *np.ldexp(UNSCALED, power),
+       dict(mae=math.ldexp(m.mae, power), rmse=math.ldexp(m.rmse, power), mape=m.mape,
+            correlation=m.correlation))
+      for m in [error_metrics(*UNSCALED)] for power in (500, 600, 1019, -600, -1000)),
+    # each ratio is 1, though one error is 10^400 times the other
+    ("test_errors_far_apart_in_size_keep_their_ratios", [2e200, 2e-200], [1e200, 1e-200],
+     dict(mae=5e199, mape=100.0)),
+    # past float64 MAPE is None and MAE and RMSE an error: never inf, nan or a warning
+    ("test_mape_whose_mean_exceeds_float64_is_none", [1e10, 2.0], [1e-300, 1.0],
+     dict(mape=None, mae=(1e10 - 1e-300 + 1.0) / 2, mape_skipped=0)),
+    # one ratio is 1e309, past float64, but their mean times 100 is about 1e308
+    ("test_mape_with_an_overflowing_ratio_is_rescaled", [10.0] * 1000, [1e-308] + [10.0] * 999,
+     {}),
+    ("test_largest_error_in_half_to_one_is_not_taken_for_an_overflow", [0.6 + 3e-309] + [1.0] * 199,
+     [3e-309] + [1.0] * 199, dict(mape=9.999999999999998e307), 1),
+    # the errors are at most 1e-10, but scaling the inputs by that overflows 1e300
+    ("test_large_values_beside_a_small_largest_error", [1e300, 1e-10] + [1.0] * 998,
+     [1e300, 1e-319] + [1.0] * 998, dict(mape=1.000011132941258e308)),
+    # f - a overflows in the first pair; the last pair's ratio of 1 still counts
+    ("test_an_overflowing_error_keeps_the_small_ratios", [1.5e308, 0.0, 0.0, 0.0, 2e-300],
+     [-1.5e308, 0.0, 0.0, 0.0, 1e-300], dict(mae=6e307, mape=150.0, mape_skipped=3,
+     rmse=pytest.approx(1.5e308 * (2 / math.sqrt(5)), rel=1e-15))),
+]
 
-    def test_mape_skips_zero_actuals(self):
-        m = error_metrics([1, 1, 2], [0, 1, 1])
-        assert m.mape_skipped == 1
-        assert m.mape == pytest.approx(50.0)
 
-    def test_mape_none_when_all_zero(self):
-        m = error_metrics([1, 2], [0, 0])
+def within(value, exact, ulps):
+    """Whether value is within ulps units in its last place of the exact Fraction."""
+    return abs(Fraction(value) - exact) <= ulps * Fraction(math.ulp(value))
+
+
+@pytest.mark.parametrize("predicted, actual, expected, ulps", [
+    pytest.param(*row, *[2] * (4 - len(row)), id=name) for name, *row in METRICS])
+def test_metrics(predicted, actual, expected, ulps):
+    """With every warning raised as an error, MAE and MAPE are their exact Fraction means and
+    RMSE the exact root mean square, each within ulps; MAPE is None exactly when no actual is
+    nonzero or its mean exceeds float64; r is pearson's; MAE <= RMSE. Then what the row
+    states."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = error_metrics(predicted, actual)
+    errors = [Fraction(f) - Fraction(a) for f, a in zip(predicted, actual)]
+    assert within(m.mae, sum(map(abs, errors)) / len(errors), ulps)
+    square = sum(e * e for e in errors) / len(errors)
+    root = [max(Fraction(m.rmse) + side * ulps * Fraction(math.ulp(m.rmse)), 0) for side in (-1, 1)]
+    assert root[0] ** 2 <= square <= root[1] ** 2
+    ratios = [abs(e / Fraction(a)) for e, a in zip(errors, actual) if a != 0]
+    mape = 100 * sum(ratios) / len(ratios) if ratios else None
+    if mape is None or mape > sys.float_info.max:
         assert m.mape is None
-        assert m.mape_skipped == 2
-
-    def test_correlation_none_when_constant(self):
-        assert error_metrics([1, 1, 1], [1, 2, 3]).correlation is None
-        # 1/3 and 0.1 have inexact float means: r would be rounding noise
-        assert error_metrics(np.full(20, 1 / 3), np.full(20, 0.1)).correlation is None
-
-    def test_correlation_none_for_one_point(self):
-        m = error_metrics([1.5], [2.0])
-        assert (m.mae, m.rmse, m.mape, m.mape_skipped, m.correlation) == (0.5, 0.5, 25.0, 0, None)
-
-    def test_mae_never_exceeds_rmse(self):
-        rng = np.random.RandomState(30)
-        for _ in range(50):
-            n = rng.randint(2, 40)
-            f = rng.uniform(-5, 5, size=n)
-            a = rng.uniform(-5, 5, size=n)
-            m = error_metrics(f, a)
-            assert m.mae <= m.rmse + 1e-12
-
-    @pytest.mark.parametrize("power", [500, 600, 1019, -600, -1000])
-    def test_scaling_by_a_power_of_two_is_exact(self, power):
-        # from about 2^512 on the squared errors overflow float64, and below about 2^-511 they
-        # underflow, so RMSE must be rescaled
-        rng = np.random.RandomState(31)
-        f, a = rng.uniform(-5, 5, size=20), rng.uniform(-5, 5, size=20)
-        m, big = error_metrics(f, a), error_metrics(np.ldexp(f, power), np.ldexp(a, power))
-        assert big.rmse == math.ldexp(m.rmse, power)
-        assert big.mae == math.ldexp(m.mae, power)
-        assert (big.mape, big.correlation) == (m.mape, m.correlation)
-
-    def test_errors_far_apart_in_size_keep_their_ratios(self):
-        # each ratio is 1, though one error is 10^400 times the other
-        m = error_metrics([2e200, 2e-200], [1e200, 1e-200])
-        assert (m.mae, m.mape) == (5e199, 100.0)
-
-
-class TestMetricsPastFloat64:
-    """MAPE is finite or None and MAE/RMSE finite or an error; never inf, nan or a warning."""
-
-    def test_mape_whose_mean_exceeds_float64_is_none(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            m = error_metrics([1e10, 2.0], [1e-300, 1.0])
-        assert m.mape is None
-        assert (m.mae, m.mape_skipped) == ((1e10 - 1e-300 + 1.0) / 2, 0)
-
-    def test_mape_with_an_overflowing_ratio_is_rescaled(self):
-        # one ratio is 1e309, past float64, but their mean times 100 is about 1e308
-        f, a = [10.0] * 1000, [1e-308] + [10.0] * 999
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            m = error_metrics(f, a)
-        exact = sum(abs(Fraction(x) - Fraction(y)) / abs(Fraction(y)) for x, y in zip(f, a))
-        assert m.mape == pytest.approx(float(exact / 1000 * 100), rel=1e-14)
-
-    def test_largest_error_in_half_to_one_is_not_taken_for_an_overflow(self):
-        f, a = [0.6 + 3e-309] + [1.0] * 199, [3e-309] + [1.0] * 199
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            m = error_metrics(f, a)
-        exact = abs(Fraction(f[0]) - Fraction(a[0])) / Fraction(a[0]) / 200 * 100
-        assert m.mape == 9.999999999999998e307
-        assert abs(Fraction(m.mape) - exact) <= Fraction(math.ulp(m.mape))
-
-    def test_large_values_beside_a_small_largest_error(self):
-        # the errors are at most 1e-10, but scaling the inputs by that overflows 1e300
-        f, a = [1e300, 1e-10] + [1.0] * 998, [1e300, 1e-319] + [1.0] * 998
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            m = error_metrics(f, a)
-        assert m.mape == 1.000011132941258e308
-
-    def test_an_overflowing_error_keeps_the_small_ratios(self):
-        # f - a overflows in the first pair; the last pair's ratio of 1 still counts
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            m = error_metrics([1.5e308, 0.0, 0.0, 0.0, 2e-300], [-1.5e308, 0.0, 0.0, 0.0, 1e-300])
-        assert (m.mae, m.mape, m.mape_skipped) == (6e307, 150.0, 3)
-        assert m.rmse == pytest.approx(1.5e308 * (2 / math.sqrt(5)), rel=1e-15)
+    else:
+        assert within(m.mape, mape, ulps)
+    assert m.mape_skipped == len(errors) - len(ratios)
+    assert repr(m.correlation) == repr(pearson(predicted, actual))
+    assert m.mae <= m.rmse
+    assert {key: getattr(m, key) for key in expected} == expected
 
 
 class TestBacktest:

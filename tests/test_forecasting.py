@@ -231,34 +231,43 @@ class TestLinguoCorrelation:
         assert got.score.hex() == want.score.hex()
 
 
-class TestHolt:
-    def test_constant_series(self):
-        series = TimeSeries(np.full(10, 5.0))
-        for xi in (0.0, 0.3, 1.0):
-            result = forecast_holt(series, HoltConfig(6, xi=xi, phi=0.4))
-            assert result.values == (5.0,) * 6
+def holt_recurrence(values, horizon, xi, phi):
+    """forecast_holt's documented recurrence in plain floats: x_hat_1 = x_1 and t_hat_1 = x_2 -
+    x_1; for k = 2..K, x_hat_k = (1 - xi) x_k + xi (x_hat_{k-1} + t_hat_{k-1}) and t_hat_k =
+    (1 - phi) (x_hat_k - x_hat_{k-1}) + phi t_hat_{k-1}; then x_hat_K + j t_hat_K, j = 1..P."""
+    x = [float(v) for v in values]
+    level, trend = x[0], x[1] - x[0]
+    for k in range(1, len(x)):
+        previous, level = level, (1 - xi) * x[k] + xi * (level + trend)
+        trend = (1 - phi) * (level - previous) + phi * trend
+    return [level + j * trend for j in range(1, horizon + 1)]
 
-    def test_exact_on_lines(self):
-        series = TimeSeries(np.arange(1.0, 13.0))
-        for xi in (0, 0.25, 0.5, 0.75, 1):
-            for phi in (0, 0.25, 0.5, 0.75, 1):
-                result = forecast_holt(series, HoltConfig(4, xi=xi, phi=phi))
-                assert np.allclose(result.values, [13, 14, 15, 16], atol=1e-9)
 
-    def test_hand_computed_recurrence(self):
-        # [1,3,2,4], xi=phi=0.5: level/trend pairs step through
-        # (1,2) -> (3,2) -> (3.5,1.25) -> (4.375,1.0625)
-        series = TimeSeries(np.array([1.0, 3.0, 2.0, 4.0]))
-        result = forecast_holt(series, HoltConfig(2, xi=0.5, phi=0.5))
-        assert result.values == pytest.approx((5.4375, 6.5), abs=1e-12)
+# (id, values, horizon, xi, phi[, forecast]): each id names the test the row replaced
+HOLTS = [
+    *((f"test_constant_series-{xi}", [5.0] * 10, 6, xi, 0.4, [5.0] * 6) for xi in (0.0, 0.3, 1.0)),
+    *((f"test_exact_on_lines-{xi}-{phi}", range(1, 13), 4, xi, phi, [13, 14, 15, 16])
+      for xi in (0, 0.25, 0.5, 0.75, 1) for phi in (0, 0.25, 0.5, 0.75, 1)),
+    # level and trend step through (1, 2) -> (3, 2) -> (3.5, 1.25) -> (4.375, 1.0625)
+    ("test_hand_computed_recurrence", [1, 3, 2, 4], 2, 0.5, 0.5, [5.4375, 6.5]),
+    *((f"test_forecast_runs_holt_for_a_holt_config-{horizon}",
+       generate(GeneratorSpec(length=60, noise=0.2, seed=5)).values, horizon, xi, phi)
+      for horizon, xi, phi in [(1, 0.5, 0.5), (7, 0.2, 0.9), (20, 1.0, 0.0)]),
+]
 
-    def test_forecast_runs_holt_for_a_holt_config(self):
-        series = generate(GeneratorSpec(length=60, noise=0.2, seed=5))
-        for horizon, xi, phi in [(1, 0.5, 0.5), (7, 0.2, 0.9), (20, 1.0, 0.0)]:
-            config = HoltConfig(horizon, xi, phi)
-            got, want = forecast(series, config), forecast_holt(series, config)
-            assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
-            assert (got.matched_start, got.score, got.method) == (0, 0.0, "holt")
+
+@pytest.mark.parametrize("values, horizon, xi, phi, expected", [
+    pytest.param(*row, *[None] * (5 - len(row)), id=name) for name, *row in HOLTS])
+def test_holt(values, horizon, xi, phi, expected):
+    """forecast_holt gives the bits of the documented recurrence, and forecast with a HoltConfig
+    gives forecast_holt's bits with start 0 and score 0.0. Then the row's own forecast."""
+    series, config = TimeSeries(values), HoltConfig(horizon, xi, phi)
+    result, routed = forecast_holt(series, config), forecast(series, config)
+    want = [v.hex() for v in holt_recurrence(series.values, horizon, xi, phi)]
+    for got in (result, routed):
+        assert ([v.hex() for v in got.values], got.matched_start, got.score, got.method) == (
+            want, 0, 0.0, "holt")
+    assert expected is None or list(result.values) == expected
 
 
 def test_k2000_scan_keeps_its_bits():

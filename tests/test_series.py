@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ngramcast.series import (
     LinearTrend,
+    QuantizationGrid,
     TimeSeries,
     _detrend_rows,
     detrend,
@@ -38,61 +39,61 @@ class TestTimeSeries:
             s.values[0] = 5.0
 
 
-class TestQuantize:
-    def test_values_already_on_grid_unchanged(self):
-        q, grid = quantize(TimeSeries(np.array([0.0, 1, 2, 3, 4])), 4)
-        assert grid.step == 1.0
-        assert list(q.values) == [0, 1, 2, 3, 4]
+def uniform_draws(seed, count, low, high, size):
+    """count draws of (draw, values, rng) from RandomState(seed): values = rng.uniform(low, high,
+    size(rng)). A caller may draw more from rng before the next draw."""
+    rng = np.random.RandomState(seed)
+    for draw in range(count):
+        yield draw, rng.uniform(low, high, size=size(rng)), rng
 
-    def test_paper_step_example(self):
-        # range 4 split into 32 levels gives step 0.125
-        q, grid = quantize(TimeSeries(np.linspace(0, 4, 9)), 32)
-        assert grid.step == 0.125
 
-    def test_nearest_level_rounding(self):
-        q, grid = quantize(TimeSeries(np.array([0.0, 1.30, 1.20, 4.0])), 8)
-        assert grid.step == 0.5
-        # brute-force nearest-point scan as the oracle, ties to the higher point
-        points = grid.min + grid.step * np.arange(grid.levels + 1)
-        for orig, snapped in zip([0.0, 1.30, 1.20, 4.0], q.values):
-            dist = np.abs(points - orig)
-            best = points[dist == dist.min()].max()
-            assert snapped == best
-        assert q.values[1] == 1.5
-        assert q.values[2] == 1.0
+# (id, values, levels[, values quantized[, step[, mark]]]): an id names the test it replaced.
+QUANTIZE = [
+    ("test_values_already_on_grid_unchanged", [0, 1, 2, 3, 4], 4, [0, 1, 2, 3, 4], 1.0),
+    ("test_paper_step_example", np.linspace(0, 4, 9), 32, None, 0.125),  # range 4, 32 levels
+    ("test_nearest_level_rounding", [0.0, 1.30, 1.20, 4.0], 8, [0.0, 1.5, 1.0, 4.0], 0.5),
+    ("test_midpoint_ties_round_up", [0.0, 0.25, 1.0], 2, [0.0, 0.5, 1.0]),
+    # 5151.5 is exactly 7.5 steps of 7272 / 10 above -302.5
+    ("test_exact_midpoint_goes_up", [-302.5, 6969.5, 5151.5], 10,
+     [-302.5, 6969.5, -302.5 + 8 * (7272 / 10)], None, pytest.mark.xfail(strict=True, reason=(
+         "ROADMAP item 6: the float step 727.2 is inexact, so (v - min) / step gives "
+         "7.499999999999999 for this exact midpoint, and it goes down to level 7"))),
+    *((f"test_endpoints_map_to_themselves-{draw}", values, 7)
+      for draw, values, _ in uniform_draws(0, 20, -10, 10, lambda rng: 30)),
+    *((f"test_error_bound_and_idempotence-{trial}", values, rng.randint(1, 40))
+      for trial, values, rng in uniform_draws(1, 50, -5, 5, lambda rng: 60)),
+    ("test_levels_up_to_2_to_the_63", [1.0, 2.0], 2**63 - 1),
+]
 
-    def test_midpoint_ties_round_up(self):
-        q, grid = quantize(TimeSeries(np.array([0.0, 0.25, 1.0])), 2)
-        assert q.values[1] == 0.5
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 6: the float step 727.2 is inexact, so (v - min) / step gives "
-        "7.499999999999999 for this exact midpoint, and it goes down to level 7"))
-    def test_exact_midpoint_goes_up(self):
-        # 5151.5 is exactly 7.5 steps of 7272 / 10 above -302.5
-        q, grid = quantize(TimeSeries(np.array([-302.5, 6969.5, 5151.5])), 10)
-        assert q.values[2] == grid.min + 8 * grid.step
+@pytest.mark.parametrize("values, levels, expected, step", [
+    pytest.param(*row[1:5], *[None] * (5 - len(row)), id=row[0], marks=row[5:])
+    for row in QUANTIZE])
+def test_quantize(values, levels, expected, step):
+    """Each value gets level floor((v - min) / step + 0.5), the top one pinned to max, bit for bit:
+    the exact nearest level, ties up, within step / 2. The endpoints and a second pass keep
+    every bit. Then what the row states."""
+    values = [float(v) for v in values]
+    q, grid = quantize(TimeSeries(values), levels)
+    vmin, vmax = min(values), max(values)
+    assert grid == QuantizationGrid(vmin, vmax, levels, (vmax - vmin) / levels)
 
-    def test_endpoints_map_to_themselves(self):
-        rng = np.random.RandomState(0)
-        for _ in range(20):
-            vals = rng.uniform(-10, 10, size=30)
-            q, grid = quantize(TimeSeries(vals), 7)
-            assert q.values[np.argmin(vals)] == vals.min()
-            assert q.values[np.argmax(vals)] == vals.max()
+    def level(k):
+        return vmax if k == levels else vmin + k * grid.step
 
-    def test_error_bound_and_idempotence(self):
-        rng = np.random.RandomState(1)
-        for trial in range(50):
-            vals = rng.uniform(-5, 5, size=60)
-            s = rng.randint(1, 40)
-            q, grid = quantize(TimeSeries(vals), s)
-            assert np.all(np.abs(q.values - vals) <= grid.step / 2 + 1e-12)
-            q2, _ = quantize(q, s)
-            assert np.allclose(q2.values, q.values, atol=1e-12, rtol=0)
-
-    def test_levels_up_to_2_to_the_63(self):
-        assert quantize(TimeSeries(np.array([1.0, 2.0])), 2**63 - 1)[1].levels == 2**63 - 1
+    rule = [min(max(math.floor((v - vmin) / grid.step + 0.5), 0), levels) for v in values]
+    assert q.values.tobytes() == np.array([level(k) for k in rule]).tobytes()
+    exact_step = (Fraction(vmax) - Fraction(vmin)) / levels
+    nearest = [math.floor((Fraction(v) - Fraction(vmin)) / exact_step + Fraction(1, 2))
+               for v in values]
+    assert rule == nearest
+    assert all(abs(Fraction(x) - Fraction(v)) <= Fraction(grid.step) / 2
+               for x, v in zip(q.values.tolist(), values))
+    assert (q.values[values.index(vmin)], q.values[values.index(vmax)]) == (vmin, vmax)
+    again, regrid = quantize(q, levels)
+    assert (again.values.tobytes(), regrid) == (q.values.tobytes(), grid)
+    assert expected is None or q.values.tolist() == expected
+    assert step is None or grid.step == step
 
 
 def mean_fit_reference(window):
@@ -158,133 +159,140 @@ def test_sums_over_the_count_keep_the_bits_of_mean(case):
         assert bits(r) == bits(expected_r)
 
 
-class TestLinearTrend:
-    def test_exact_line(self):
-        t = fit_linear_trend([3, 5, 7])
-        assert t.slope == pytest.approx(2.0, abs=1e-12)
-        assert t.intercept == pytest.approx(1.0, abs=1e-12)
-
-    def test_constant_window(self):
-        t = fit_linear_trend([1, 1, 1, 1])
-        assert t.slope == pytest.approx(0.0, abs=1e-12)
-        assert t.intercept == pytest.approx(1.0, abs=1e-12)
-
-    def test_normal_equations_hand_solution(self):
-        # [1,2,2,3] at x=1..4: mean(xy)=23/4, mean(x)=5/2, mean(y)=2,
-        # mean(x^2)=15/2 -> B=(23/4-5)/(15/2-25/4)=0.6, A=2-0.6*2.5=0.5
-        t = fit_linear_trend([1, 2, 2, 3])
-        assert t.slope == pytest.approx(0.6, abs=1e-12)
-        assert t.intercept == pytest.approx(0.5, abs=1e-12)
-
-    def test_optimality_under_perturbation(self):
-        rng = np.random.RandomState(2)
-        for _ in range(30):
-            w = rng.uniform(-5, 5, size=rng.randint(2, 20))
-            t = fit_linear_trend(w)
-            x = np.arange(1, len(w) + 1)
-            rss = ((w - (t.slope * x + t.intercept)) ** 2).sum()
-            eps = 1e-3 * (abs(t.slope) + abs(t.intercept) + 1)
-            for db, da in [(eps, 0), (-eps, 0), (0, eps), (0, -eps)]:
-                rss_p = ((w - ((t.slope + db) * x + t.intercept + da)) ** 2).sum()
-                assert rss_p >= rss - 1e-15
-
-    def test_detrend_examples(self):
-        assert np.allclose(detrend([3, 5, 7], LinearTrend(2, 1)), [0, 0, 0])
-        assert np.allclose(detrend([1, 1, 1, 1], LinearTrend(0, 1)), [0, 0, 0, 0])
-        out = detrend([1, 2, 2, 3], LinearTrend(0.6, 0.5))
-        assert np.allclose(out, [-0.1, 0.3, -0.3, 0.1])
-        assert out.sum() == pytest.approx(0.0, abs=1e-12)
-
-    def test_detrend_then_fit_slope_near_zero(self):
-        rng = np.random.RandomState(3)
-        for _ in range(30):
-            w = rng.uniform(-10, 10, size=rng.randint(2, 25))
-            resid = detrend(w, fit_linear_trend(w))
-            t2 = fit_linear_trend(resid)
-            bound = 1e-9 * (w.max() - w.min() + 1)
-            assert abs(t2.slope) <= bound
-            assert abs(t2.intercept) <= bound
-
-    def test_extrapolate(self):
-        assert np.allclose(LinearTrend(2, 1).at([4, 5]), [9, 11])
-        assert np.allclose(LinearTrend(0, 5).at([1, 2, 3]), [5, 5, 5])
-        assert np.allclose(LinearTrend(0.6, 0.5).at([5, 6, 7]), [3.5, 4.1, 4.7])
-
-    def test_extrapolate_continues_fit(self):
-        t = fit_linear_trend([3, 5, 7])
-        assert np.allclose(t.at([4, 5]), [9, 11])
+def exact_line(window):
+    """(slope, intercept) of the least-squares line through (1, w[0]) .. (n, w[n-1]), exactly."""
+    y = [Fraction(v) for v in window]
+    x_mean, y_mean = Fraction(len(y) + 1, 2), sum(y) / len(y)
+    slope = (sum((x - x_mean) * (v - y_mean) for x, v in enumerate(y, 1))
+             / sum((x - x_mean) ** 2 for x in range(1, len(y) + 1)))
+    return slope, y_mean - slope * x_mean
 
 
-class TestPearson:
-    def test_exact_linear_relations(self):
-        assert pearson([1, 2, 3], [2, 4, 6]) == 1.0
-        assert pearson([1, 2, 3], [3, 2, 1]) == -1.0
+# (id, window[, line[, residuals[, (positions, values)]]]): the line fit_linear_trend gives, and
+# what detrend and LinearTrend.at give on that line as stated and as fitted, each at 1e-12
+TRENDS = [
+    ("test_exact_line", [3, 5, 7], (2, 1)),
+    # the other two windows' residuals are stated in the next two rows
+    ("test_detrend_examples", [3, 5, 7], (2, 1), [0, 0, 0]),
+    ("test_extrapolate_continues_fit", [3, 5, 7], (2, 1), None, ([4, 5], [9, 11])),
+    ("test_constant_window", [1, 1, 1, 1], (0, 1), [0, 0, 0, 0]),
+    # mean(xy) = 23/4, mean(x) = 5/2, mean(y) = 2, mean(x^2) = 15/2: B = (23/4 - 5) / (15/2 -
+    # 25/4) = 0.6 and A = 2 - 0.6 * 2.5 = 0.5
+    ("test_normal_equations_hand_solution", [1, 2, 2, 3], (0.6, 0.5), [-0.1, 0.3, -0.3, 0.1],
+     ([5, 6, 7], [3.5, 4.1, 4.7])),
+    ("test_extrapolate", [5, 5, 5], (0, 5), None, ([1, 2, 3], [5, 5, 5])),
+    *((f"test_optimality_under_perturbation-{draw}", window)
+      for draw, window, _ in uniform_draws(2, 30, -5, 5, lambda rng: rng.randint(2, 20))),
+    *((f"test_detrend_then_fit_slope_near_zero-{draw}", window)
+      for draw, window, _ in uniform_draws(3, 30, -10, 10, lambda rng: rng.randint(2, 25))),
+]
 
-    def test_against_oracle(self):
-        expected = pearson_oracle([1, 2, 3, 4], [1, 2, 3, 5])
-        assert pearson([1, 2, 3, 4], [1, 2, 3, 5]) == pytest.approx(expected, abs=1e-12)
 
-    def test_random_against_oracle(self):
-        rng = np.random.RandomState(4)
-        for _ in range(30):
-            n = rng.randint(2, 30)
-            a = rng.uniform(-5, 5, size=n)
-            b = rng.uniform(-5, 5, size=n)
-            assert pearson(a, b) == pytest.approx(pearson_oracle(a, b), abs=1e-9)
+@pytest.mark.parametrize("window, line, residuals, ahead", [
+    pytest.param(*row[1:], *[None] * (5 - len(row)), id=row[0]) for row in TRENDS])
+def test_trend(window, line, residuals, ahead):
+    """fit_linear_trend is the exact least-squares line at 1e-12, and LinearTrend.at continues
+    it; no line eps away fits better; detrended by it, the window refits to a line near 0. Then
+    the row's own line, residuals and values ahead, on the stated line and on the fitted one."""
+    n, w = len(window), np.asarray(window, dtype=np.float64)
+    trend = fit_linear_trend(window)
+    slope, intercept = exact_line(window)
+    assert abs(trend.slope - slope) <= 1e-12 and abs(trend.intercept - intercept) <= 1e-12
+    x = np.arange(1, n + 4)  # the window's positions and three past it
+    assert all(abs(Fraction(v) - (intercept + slope * int(k))) <= 1e-12
+               for k, v in zip(x, trend.at(x).tolist()))
+    rss = ((w - trend.at(x[:n])) ** 2).sum()
+    eps = 1e-3 * (abs(trend.slope) + abs(trend.intercept) + 1)
+    for db, da in [(eps, 0), (-eps, 0), (0, eps), (0, -eps)]:
+        assert ((w - LinearTrend(trend.slope + db, trend.intercept + da).at(x[:n])) ** 2).sum() \
+            >= rss - 1e-15
+    refit = fit_linear_trend(detrend(window, trend))
+    bound = 1e-9 * (w.max() - w.min() + 1)
+    assert abs(refit.slope) <= bound and abs(refit.intercept) <= bound
+    for stated in [trend] + ([LinearTrend(*line)] if line else []):
+        assert line is None or np.allclose([stated.slope, stated.intercept], line, 0, 1e-12)
+        if residuals is not None:  # the residuals of a least-squares line sum to 0
+            out = detrend(window, stated)
+            assert np.allclose(out, residuals, 0, 1e-12) and abs(out.sum()) <= 1e-12
+        assert ahead is None or np.allclose(stated.at(ahead[0]), ahead[1], 0, 1e-12)
 
-    def test_range_and_affine_invariance(self):
-        rng = np.random.RandomState(5)
-        for _ in range(30):
-            n = rng.randint(3, 20)
-            a = rng.uniform(-5, 5, size=n)
-            b = rng.uniform(-5, 5, size=n)
-            r = pearson(a, b)
-            assert -1.0 <= r <= 1.0
-            c, d = rng.uniform(0.1, 3), rng.uniform(-4, 4)
-            assert pearson(a, c * b + d) == pytest.approx(r, abs=1e-9)
-            assert pearson(a, -c * b + d) == pytest.approx(-r, abs=1e-9)
 
-    def test_tiny_scale_against_oracle(self):
-        # both sums of squares are about 1e-200, so their product underflows to 0
-        a, b = [1, 2, 3, 4], [1, 2, 3, 5]
-        expected = pearson_oracle(a, b)
-        assert pearson(np.array(a) * 1e-100, np.array(b) * 1e-100) == pytest.approx(
-            expected, abs=1e-12)
+def unit(values):
+    """The values as Fractions, scaled exactly by the power of two that puts the largest
+    magnitude in [0.5, 1): pearson_oracle's float sums then neither overflow nor underflow."""
+    scale = Fraction(2) ** -math.frexp(max(map(abs, values)))[1]
+    return [Fraction(v) * scale for v in values]
 
-    @pytest.mark.parametrize("scale", [1e-200, 1e200])
-    def test_extreme_scale_against_oracle(self, scale):
-        # the sums of squares underflow to 0 or overflow to inf at these scales
-        rng = np.random.RandomState(6)
-        for _ in range(30):
-            n = rng.randint(2, 30)
-            a = rng.uniform(-5, 5, size=n) * scale
-            b = rng.uniform(-5, 5, size=n) * scale
-            # the oracle sees the same floats, divided by the scale exactly
-            expected = pearson_oracle(*([Fraction(v) / Fraction(scale) for v in w] for w in (a, b)))
-            assert pearson(a, b) == pytest.approx(expected, abs=1e-12)
 
-    def test_zero_variance(self):
-        assert pearson([1, 1, 1], [1, 2, 3]) is None
-        assert pearson([1, 2, 3], [4, 4, 4]) is None
-        # the float means of these constants are inexact, so their deviations are not all 0
-        assert pearson(np.full(20, 0.3), np.full(20, 0.7)) is None
-        assert pearson(np.full(20, 0.3), np.arange(20.0)) is None
-        assert pearson(np.arange(20.0), np.full(20, 1 / 3)) is None
+def uniform_pairs(seed, count, sizes, scale=1.0):
+    """count draws of (draw, a, b, rng) from RandomState(seed): n = rng.randint(*sizes), then a
+    and b, n uniform(-5, 5) values each times scale. A caller may draw more from rng in between."""
+    rng = np.random.RandomState(seed)
+    for draw in range(count):
+        n = rng.randint(*sizes)
+        yield draw, rng.uniform(-5, 5, size=n) * scale, rng.uniform(-5, 5, size=n) * scale, rng
 
-    def test_all_values_equal_is_undefined(self):
-        # None exactly when an input's values are all equal, whatever its float mean rounds to
-        rng = np.random.default_rng(16)
-        for _ in range(1950):
-            n = int(rng.integers(2, 41))
-            constant = np.full(n, rng.uniform(-1, 1) * 10.0 ** int(rng.integers(-300, 301)))
-            other = rng.uniform(-1, 1, n)
-            assert pearson(constant, other) is None
-            assert pearson(other, constant) is None
 
-    def test_non_finite_input_is_nan(self):
-        # not clamped to a perfect 1.0, which would beat every finite r in the matcher
-        assert math.isnan(pearson([math.nan, 1, 2], [1, 2, 4]))
-        assert math.isnan(pearson([1, 2, 4], [1, math.inf, 2]))
+# (id, a, b[, repr of r[, (c, d)]]): each id names the test the row replaced
+PEARSONS = [
+    ("test_exact_linear_relations-up", [1, 2, 3], [2, 4, 6], "1.0"),
+    ("test_exact_linear_relations-down", [1, 2, 3], [3, 2, 1], "-1.0"),
+    ("test_against_oracle", [1, 2, 3, 4], [1, 2, 3, 5]),
+    *((f"test_random_against_oracle-{draw}", a, b)
+      for draw, a, b, _ in uniform_pairs(4, 30, (2, 30))),
+    # c in [0.1, 3) and d in [-4, 4) are drawn after each pair
+    *((f"test_range_and_affine_invariance-{draw}", a, b, None,
+       (rng.uniform(0.1, 3), rng.uniform(-4, 4)))
+      for draw, a, b, rng in uniform_pairs(5, 30, (3, 20))),
+    # both sums of squares are about 1e-200, so their product underflows to 0
+    ("test_tiny_scale_against_oracle", np.array([1, 2, 3, 4]) * 1e-100,
+     np.array([1, 2, 3, 5]) * 1e-100),
+    # the sums of squares underflow to 0 or overflow to inf at these scales
+    *((f"test_extreme_scale_against_oracle-{scale}-{draw}", a, b) for scale in (1e-200, 1e200)
+      for draw, a, b, _ in uniform_pairs(6, 30, (2, 30), scale)),
+    # the float means of the constants 0.3, 0.7 and 1/3 are inexact, so their deviations are
+    # not all 0
+    *((f"test_zero_variance-{case}", a, b, "None") for case, a, b in [
+        ("first", [1, 1, 1], [1, 2, 3]), ("second", [1, 2, 3], [4, 4, 4]),
+        ("inexact-means", np.full(20, 0.3), np.full(20, 0.7)),
+        ("inexact-first-mean", np.full(20, 0.3), np.arange(20.0)),
+        ("inexact-second-mean", np.arange(20.0), np.full(20, 1 / 3))]),
+    # not clamped to a perfect 1.0, which would beat every finite r in the matcher
+    ("test_non_finite_input_is_nan-nan", [math.nan, 1, 2], [1, 2, 4], "nan"),
+    ("test_non_finite_input_is_nan-inf", [1, 2, 4], [1, math.inf, 2], "nan"),
+    ("test_one_point_is_undefined", [1.0], [2.0], "None"),
+]
 
-    def test_one_point_is_undefined(self):
-        assert pearson([1.0], [2.0]) is None
+
+@pytest.mark.parametrize("a, b, shown, affine", [
+    pytest.param(*row[1:], *[None] * (5 - len(row)), id=row[0]) for row in PEARSONS])
+def test_pearson(a, b, shown, affine):
+    """r is None exactly on fewer than 2 points or an input of equal values, else nan exactly on a
+    non-finite input, else pearson_oracle's r at 1e-12. Then the row's repr of r; with (c, d),
+    r of (a, +-c*b + d) is +-r and r of (b, +-c*b + d) is +-1 at 1e-12. Every r is in [-1, 1]."""
+    x, y = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    r = pearson(a, b)
+    if x.size < 2 or (x == x[0]).all() or (y == y[0]).all():
+        assert r is None
+    elif not np.isfinite([*x, *y]).all():
+        assert math.isnan(r)
+    else:
+        assert -1.0 <= r <= 1.0 and abs(r - pearson_oracle(unit(x), unit(y))) <= 1e-12
+    assert shown is None or repr(r) == shown
+    if affine:
+        c, d = affine
+        for sign in (1, -1):
+            for w, want in [(x, r), (y, 1.0)]:
+                got = pearson(w, sign * c * y + d)
+                assert -1.0 <= got <= 1.0 and abs(got - sign * want) <= 1e-12
+
+
+def test_all_values_equal_is_undefined():
+    # None exactly when an input's values are all equal, whatever its float mean rounds to
+    rng = np.random.default_rng(16)
+    for _ in range(1950):
+        n = int(rng.integers(2, 41))
+        constant = np.full(n, rng.uniform(-1, 1) * 10.0 ** int(rng.integers(-300, 301)))
+        other = rng.uniform(-1, 1, n)
+        assert pearson(constant, other) is None
+        assert pearson(other, constant) is None
