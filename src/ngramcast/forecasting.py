@@ -31,11 +31,12 @@ class TrendMode(enum.Enum):
 class ForecastConfig:
     """User-facing parameters for the phrase-matching methods, all checked when it is made.
 
-    Window length N (window_length) is ceil(multiplier * horizon), an exact product not rounded
-    up; the multiplier (N - 0.5) / horizon gives a window of N. The multiplier M defaults to
-    1.0 for P >= 5 and to 2.25 for P < 5, the shortest windows in range; an M outside its
-    recommended range (multiplier_check) is a warning. A criterion or trend_mode given as its
-    value ("correlation", "linear") becomes the member.
+    Window length N (window_length) is the ceiling of the float64 product multiplier * horizon,
+    not of the exact one: ForecastConfig(1932, 33.61231884057971) has N = 64939, though the
+    exact product is 64939 + 49/2^45. The multiplier (N - 0.5) / horizon gives a window of N.
+    M defaults to 1.0 for P >= 5 and to 2.25 for P < 5, the shortest windows in range; an M
+    outside its recommended range (multiplier_check) is a warning. A criterion or trend_mode
+    given as its value ("correlation", "linear") becomes the member.
     """
 
     horizon: int

@@ -29,6 +29,10 @@ TREND = "tests/test_series.py::test_trend[{}]".format
 PEARSON = "tests/test_series.py::test_pearson[{}]".format
 METRICS = "tests/test_evaluation.py::test_metrics[{}]".format
 HOLT = "tests/test_forecasting.py::test_holt[{}]".format
+CONFIG = "tests/test_forecasting.py::test_config[{}]".format
+PHRASE = "tests/test_forecasting.py::test_phrase_forecast[{}]".format
+GENERATE = "tests/test_evaluation.py::test_generate[{}]".format
+BACKTEST = "tests/test_evaluation.py::test_backtest[{}]".format
 REFUSAL = "tests/test_refusals.py::test_refusal[{}]".format
 EVERY_RAISE = "tests/test_refusals.py::test_every_raise_site_is_reached"
 
@@ -87,6 +91,30 @@ MUTANTS = [
     ("holt-trend-starts-at-0", "forecasting.py", "trend = x[1] - x[0]", "trend = 0.0",
      [HOLT("test_exact_on_lines-0.5-0.5"), HOLT("test_hand_computed_recurrence"),
       HOLT("test_forecast_runs_holt_for_a_holt_config-7")]),
+    # the forecasting pipeline: the window rule, the default multiplier, the trend transfer,
+    # the holdout prefix and the generator's noise
+    ("window-length-rounds-to-nearest", "forecasting.py",
+     "return math.ceil(self.multiplier * self.horizon)",
+     "return round(self.multiplier * self.horizon)",
+     [CONFIG(f"test_default_fits_the_horizon-{case}") for case in ("1", "2", "1-linear")]),
+    ("default-multiplier-2.5", "forecasting.py", "1.0 if self.horizon >= 5 else 2.25",
+     "1.0 if self.horizon >= 5 else 2.5",
+     [CONFIG(f"test_default_fits_the_horizon-{p}") for p in (1, 2, 3, 4)]),
+    ("trend-transfer-sign-flipped", "forecasting.py",
+     "values = values - trend_cand.at(positions) + trend_query.at(positions)",
+     "values = values + trend_cand.at(positions) - trend_query.at(positions)",
+     [PHRASE("test_pure_line_difference_extrapolates"), PHRASE("test_exact_limit_with_fine_grid"),
+      PHRASE("test_trended_periodic_series-difference")]),
+    ("holdout-prefix-one-row-longer", "evaluation.py",
+     "forecast(TimeSeries(values[: values.size - horizon]), config)",
+     "forecast(TimeSeries(values[: values.size - horizon + 1]), config)",
+     [BACKTEST(case) for case in ("test_zero_noise_periodic_backtest", "test_holt_dispatch",
+                                  "test_isolation_from_holdout")]),
+    ("noise-subtracted", "evaluation.py",
+     "values = values + uniform_noise(spec.noise, spec.length, spec.seed)",
+     "values = values - uniform_noise(spec.noise, spec.length, spec.seed)",
+     [GENERATE("test_determinism"), GENERATE("test_noise_bounds_and_mean"),
+      GENERATE("noise-0-0.15")]),
     # refusals, each reached by a row
     ("generator-period-unchecked", "evaluation.py", "if not self.period > 0:",
      "if self.period < 0:",

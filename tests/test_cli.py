@@ -68,6 +68,7 @@ _TOO_LARGE = ("error: multiplier {} times horizon {} is too large:"
 _BELOW = "error: derived window length {} is below {} (horizon={}, multiplier={}){}\n"
 _SHORT = "error: series length {} is below the minimum required length {}{}\n"
 _SIGN = ": r of {} {}points is +1 or -1, so it would carry only a sign"
+_LINE = ": a line fits any 2 points, so a detrended window of 2 is only rounding noise"
 _HINT = (": the default --multiplier {} makes a window of {} at --horizon {};"
          " a smaller --multiplier needs fewer rows")
 _CONSTANT = "warning: constant series: quantization skipped, forecast is the constant\n"
@@ -81,6 +82,12 @@ MODES = [("difference-none", ""), ("difference-linear", "--trend linear"),
          ("correlation-none", "--criterion correlation"),
          ("correlation-linear", "--criterion correlation --trend linear"),
          ("holt", "--method holt")]
+
+
+def _on_a_constant_series_too(case, flags, stderr) -> list:
+    """Two refused forecast runs: a bad flag fails on a ramp and on a constant series alike."""
+    return [(f"test_bad_window_fails_on_a_constant_series_too-{case}-{series}", "forecast", flags,
+             series, 1, stderr) for series in ["range-30", "sevens"]]
 
 
 def _manifest(**fields) -> str:  # the line generate writes to stderr
@@ -155,34 +162,36 @@ RUNS = [
        _TOO_LARGE.format(float(multiplier), horizon))
       for name, horizon, multiplier in [("overflowing", 5, "1e308"), ("inexact", 5, "1e300"),
                                         ("inexact", 4, "2.5e15")]),
+    *_on_a_constant_series_too("overflow", "--horizon 5 --multiplier 1e308",
+                               _TOO_LARGE.format(1e308, 5)),
+    ("test_bad_flag_fails_before_the_input_is_read-window", "backtest",
+     "--horizon 5 --multiplier 1e308", "missing", 1, _TOO_LARGE.format(1e308, 5)),
     # Holt's steps 1..P are exact in float64 up to 2^53; past it the tuple would fill memory
     *((f"holt-horizon-past-2^53-{series}", "forecast backtest", f"--method holt --horizon {_HUGE}",
        series, 1, f"error: horizon must be at most 2^53, got {_HUGE}\n")
       for series in ["paper", "missing"]),
-    *((f"test_bad_window_fails_on_a_constant_series_too-{case}-{series}", "forecast", flags,
-       series, 1, stderr)
-      for case, flags, stderr in [
-          ("window", "--horizon 5 --multiplier 0.2", _BELOW.format(1, 2, 5, 0.2, "")),
-          ("derived-window", "--horizon 1 --multiplier 0.5", _BELOW.format(1, 2, 1, 0.5, "")),
-          ("overflow", "--horizon 5 --multiplier 1e308", _TOO_LARGE.format(1e308, 5)),
-          ("zero-multiplier", "--horizon 5 --multiplier=0",
-           "error: multiplier must be > 0, got 0.0\n")]
-      for series in ["range-30", "sevens"]),
-    *((f"test_bad_flag_fails_before_the_input_is_read-{case}", "backtest", f"--horizon 5 {flags}",
-       "missing", 1, stderr)
-      for case, flags, stderr in [
-          ("window", "--multiplier 1e308", _TOO_LARGE.format(1e308, 5)),
-          ("derived-window", "--multiplier 0.1", _BELOW.format(1, 2, 5, 0.1, "")),
-          ("xi", "--method holt --xi 2", "error: xi must be in [0, 1], got 2.0\n")]),
+    *_on_a_constant_series_too("window", "--horizon 5 --multiplier 0.2",
+                               _BELOW.format(1, 2, 5, 0.2, "")),
+    *_on_a_constant_series_too("derived-window", "--horizon 1 --multiplier 0.5",
+                               _BELOW.format(1, 2, 1, 0.5, "")),
+    ("test_bad_flag_fails_before_the_input_is_read-derived-window", "backtest",
+     "--horizon 5 --multiplier 0.1", "missing", 1, _BELOW.format(1, 2, 5, 0.1, "")),
     ("test_window_error_wins_over_a_too_short_series", "forecast backtest",
      "--horizon 5 --multiplier 0.1", "1-3", 1, _BELOW.format(1, 2, 5, 0.1, "")),
+    ("window-of-2-under-a-linear-trend", "forecast backtest",
+     "--horizon 1 --multiplier 1.5 --trend linear", "noisy-300", 1,
+     _BELOW.format(2, 3, 1, 1.5, _LINE)),
+    *_on_a_constant_series_too("zero-multiplier", "--horizon 5 --multiplier=0",
+                               "error: multiplier must be > 0, got 0.0\n"),
+    ("test_bad_flag_fails_before_the_input_is_read-xi", "backtest",
+     "--horizon 5 --method holt --xi 2", "missing", 1, "error: xi must be in [0, 1], got 2.0\n"),
+    ("window-of-2-under-correlation", "forecast backtest",
+     "--horizon 1 --multiplier 1.5 --criterion correlation", "noisy-300", 1,
+     _BELOW.format(2, 3, 1, 1.5, _SIGN.format(2, ""))),
     # the matcher once picked start 296 here, with r = 1.0 from the rounding in flat residues
     ("test_window_of_2_under_a_linear_trend_is_one_line_error", "backtest",
      "--horizon 1 --multiplier 1.5 --criterion correlation --trend linear", "noisy-300", 1,
      _BELOW.format(2, 4, 1, 1.5, _SIGN.format(3, "detrended "))),
-    ("window-of-2-under-correlation", "forecast backtest",
-     "--horizon 1 --multiplier 1.5 --criterion correlation", "noisy-300", 1,
-     _BELOW.format(2, 3, 1, 1.5, _SIGN.format(2, ""))),
     # the default multiplier 2.25 makes a window of 3 at --horizon 1: the line names it
     ("default-window-of-3-under-correlation-and-a-linear-trend", "forecast backtest",
      "--horizon 1 --criterion correlation --trend linear", "noisy-300", 1,
@@ -445,3 +454,37 @@ def test_readme_names_only_real_flags():
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
     assert "--horizon" in flags
     assert sorted(flags - options) == []
+
+
+def _in_order(spans, messages):
+    """Each message in order is the current span's or the next one's, and every span is used:
+    a span stands for one or more consecutive messages, and "..." in it for any text."""
+    patterns = [re.compile(".*".join(map(re.escape, span.split("...")))) for span in spans]
+    at = -1
+    for message in messages:
+        if at < 0 or not patterns[at].fullmatch(message):
+            at += 1
+            assert at < len(spans) and patterns[at].fullmatch(message), (message, spans[at:][:1])
+    assert at == len(spans) - 1, spans[at + 1 :]
+
+
+def test_readme_lists_the_table_messages():
+    """The backticked messages of the README's two library refusal lists are the messages of the
+    REFUSALS rows of tests/test_refusals.py, and the backticked lines of its CLI error list are
+    the stderr of the refused and warning rows of RUNS, in the tables' order. A library message
+    is a span with a space in it; a CLI line begins with "error:", "warning:" or "ngramcast:
+    error:"."""
+    from test_refusals import REFUSALS  # it imports this module
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+    def spans(after):  # the spans of the bullet list after the line ending in after
+        bullets = readme.split(after + "\n\n", 1)[1].split("\n\n", 1)[0]
+        return [" ".join(span.split()) for span in re.findall(r"`([^`]+)`", bullets)]
+
+    library = spans("each a `ValueError`:") + spans("as named:")
+    _in_order([span for span in library if " " in span], [row[3] for row in REFUSALS])
+    cli = [span for span in spans("over a missing or too-short file.")
+           if span.startswith(("error:", "warning:", "ngramcast: error:"))]
+    _in_order(cli, [stderr.strip() for _, _, _, _, code, stderr, *_ in RUNS
+                    if code or stderr.startswith("warning:")])

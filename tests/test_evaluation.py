@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import warnings
@@ -11,11 +12,13 @@ from ngramcast import (
     GeneratorSpec,
     HoltConfig,
     TimeSeries,
+    forecast,
     generate,
     holdout_backtest,
 )
-from ngramcast.evaluation import clean_values, error_metrics, uniform_noise
+from ngramcast.evaluation import error_metrics, uniform_noise
 from ngramcast.series import pearson
+from test_forecasting import hexes
 from test_series import uniform_pairs
 
 MASK64 = (1 << 64) - 1
@@ -36,53 +39,60 @@ def stepped_noise(half_width: float, count: int, seed: int) -> np.ndarray:
 
 
 class TestGenerator:
-    def test_determinism(self):
-        spec = GeneratorSpec(length=200, noise=0.15, seed=42)
-        a = generate(spec)
-        b = generate(spec)
-        assert np.array_equal(a.values, b.values)
-
-    def test_different_seeds_differ(self):
-        a = generate(GeneratorSpec(length=50, noise=0.15, seed=1))
-        b = generate(GeneratorSpec(length=50, noise=0.15, seed=2))
-        assert not np.array_equal(a.values, b.values)
-
-    def test_sinusoid_analytic_values(self):
-        series = generate(GeneratorSpec(length=100))
-        # k=25 completes a period; sampled range is just shy of 2*amplitude
-        assert series.values[24] == pytest.approx(0.0, abs=1e-12)
-        assert series.values.max() - series.values.min() == pytest.approx(4.0, abs=0.01)
-
-    def test_noise_bounds_and_mean(self):
-        draws = uniform_noise(0.15, 10**5, seed=7)
-        assert np.all(np.abs(draws) <= 0.15)
-        assert abs(draws.mean()) <= 0.005
-
     @pytest.mark.parametrize("count", [0, 1, 20_000])
     @pytest.mark.parametrize("seed", [0, 1, -1, 2**63, 2**64 - 1, 2**64 + 5])
     def test_noise_is_the_splitmix64_stepper_bit_for_bit(self, seed, count):
+        # counts a GeneratorSpec cannot take (0) included; generate's use of it is test_generate's
         for half_width in (0.0, 1e-300, 0.15, 1.0, 3.75e5):
             got = uniform_noise(half_width, count, seed)
-            want = stepped_noise(half_width, count, seed)
             assert got.dtype == np.float64 and got.shape == (count,)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert got.tobytes() == stepped_noise(half_width, count, seed).tobytes()
 
-    def test_linear_trend_component(self):
-        spec = GeneratorSpec(kind="sinusoid-linear", length=100, slope=0.02)
-        series = generate(spec)
-        sinusoid = clean_values(GeneratorSpec(length=100), np.arange(1, 101))
-        assert (series.values - sinusoid)[-1] == pytest.approx(2.0, abs=1e-12)
 
-    def test_quadratic_trend_component(self):
-        spec = GeneratorSpec(
-            kind="sinusoid-quadratic", length=100, slope=0.1, quadratic=-0.001
-        )
-        series = generate(spec)
-        sinusoid = clean_values(GeneratorSpec(length=100), np.arange(1, 101))
-        trend = series.values - sinusoid
-        assert trend[-1] == pytest.approx(0.1 * 100 - 0.001 * 100**2, abs=1e-12)
-        # trend direction flips inside the observed span
-        assert np.argmax(trend) not in (0, 99)
+SINE = generate(GeneratorSpec(length=100)).values
+
+# (id, GeneratorSpec fields[, check of the values and the noise]): each id names the test the
+# row replaced
+GENERATORS = [
+    ("test_determinism", dict(length=200, noise=0.15, seed=42)),
+    ("test_different_seeds_differ", dict(length=50, noise=0.15, seed=1),
+     lambda values, noise: not np.array_equal(
+         values, generate(GeneratorSpec(length=50, noise=0.15, seed=2)).values)),
+    # k = 25 completes a period; the samples fall just short of both peaks
+    ("test_sinusoid_analytic_values", {},
+     lambda values, noise: abs(values[24]) <= 1e-12 and abs(np.ptp(values) - 4.0) <= 0.01),
+    ("test_noise_bounds_and_mean", dict(length=10**5, noise=0.15, seed=7),
+     lambda values, noise: abs(noise.mean()) <= 0.005),
+    *((f"noise-{seed}-{half_width}", dict(length=20_000, noise=half_width, seed=seed))
+      for seed in (0, 1, -1, 2**63, 2**64 - 1, 2**64 + 5)
+      for half_width in (0.0, 1e-300, 0.15, 1.0, 3.75e5)),
+    ("test_linear_trend_component", dict(kind="sinusoid-linear", slope=0.02),
+     lambda values, noise: abs(values[-1] - SINE[-1] - 2.0) <= 1e-12),
+    # the trend's direction flips inside the observed span
+    ("test_quadratic_trend_component", dict(kind="sinusoid-quadratic", slope=0.1, quadratic=-0.001),
+     lambda values, noise: abs(values[-1] - SINE[-1] - (0.1 * 100 - 0.001 * 100**2)) <= 1e-12
+     and np.argmax(values - SINE) not in (0, 99)),
+]
+
+
+@pytest.mark.parametrize("fields, check", [
+    pytest.param(*row, *[None] * (2 - len(row)), id=name) for name, *row in GENERATORS])
+def test_generate(fields, check):
+    """uniform_noise of length samples keeps the bits of stepped_noise, each in [-noise, noise],
+    and generate adds it to the noise-free part (the spec with noise 0), bit for bit; that part
+    is within 1e-12 of the documented formula, computed per value with math.sin. A rerun gives
+    the same bits. Then the row's check of the values and the noise."""
+    spec = GeneratorSpec(**fields)
+    noise = stepped_noise(spec.noise, spec.length, spec.seed)
+    assert uniform_noise(spec.noise, spec.length, spec.seed).tobytes() == noise.tobytes()
+    assert np.all(np.abs(noise) <= spec.noise)
+    values, clean = generate(spec).values, generate(dataclasses.replace(spec, noise=0.0)).values
+    assert values.tobytes() == (clean + noise if spec.noise > 0 else clean).tobytes()
+    assert generate(spec).values.tobytes() == values.tobytes()
+    formula = [spec.amplitude * math.sin(2 * math.pi * k / spec.period + spec.phase)
+               + spec.slope * k + spec.quadratic * k * k for k in range(1, spec.length + 1)]
+    assert np.abs(clean - formula).max() <= 1e-12
+    assert check is None or check(values, noise)
 
 
 # 20 predicted and 20 actual values, to be scaled by powers of two
@@ -163,30 +173,28 @@ def test_metrics(predicted, actual, expected, ulps):
     assert {key: getattr(m, key) for key in expected} == expected
 
 
-class TestBacktest:
-    def test_zero_noise_periodic_backtest(self):
-        spec = GeneratorSpec(length=100)
-        series = generate(spec)
-        config = ForecastConfig(horizon=20, multiplier=1.0, levels=32)
-        report, result = holdout_backtest(series, config)
-        step = (series.values[:80].max() - series.values[:80].min()) / 32
-        assert report.rmse <= step / 2 + 1e-9
-        assert result.method == "linguistic"
-        assert len(result.values) == 20
+# (id, values, config, method[, largest RMSE]): each id names the test the row replaced
+BACKTESTS = [
+    # within half a grid step of the held-out tail
+    ("test_zero_noise_periodic_backtest", SINE, ForecastConfig(20, 1.0, 32), "linguistic",
+     np.ptp(SINE[:80]) / 64),
+    ("test_holt_dispatch", np.arange(1.0, 31.0), HoltConfig(5, 0.5, 0.5), "holt", 0.0),
+    ("test_isolation_from_holdout", generate(GeneratorSpec(length=100, noise=0.1, seed=3)).values,
+     ForecastConfig(20, 1.0, 32), "linguistic"),
+]
 
-    def test_holt_dispatch(self):
-        series = TimeSeries(np.arange(1.0, 31.0))
-        report, result = holdout_backtest(series, HoltConfig(5, 0.5, 0.5))
-        assert result.method == "holt"
-        assert report.rmse == pytest.approx(0.0, abs=1e-9)
 
-    def test_isolation_from_holdout(self):
-        # corrupting the held-out tail must not change the forecast
-        spec = GeneratorSpec(length=100, noise=0.1, seed=3)
-        series = generate(spec)
-        config = ForecastConfig(horizon=20, multiplier=1.0, levels=32)
-        _, result = holdout_backtest(series, config)
-        tampered = series.values.copy()
-        tampered[-20:] = 99.0
-        _, result2 = holdout_backtest(TimeSeries(tampered), config)
-        assert result.values == result2.values
+@pytest.mark.parametrize("values, config, method, rmse", [
+    pytest.param(*row, *[None] * (4 - len(row)), id=name) for name, *row in BACKTESTS])
+def test_backtest(values, config, method, rmse):
+    """holdout_backtest's forecast is forecast of all but the last P values, bit for bit, and
+    its report is error_metrics of that forecast against them; a tampered held-out tail changes
+    nothing in the forecast. Then the row's method and largest RMSE."""
+    prefix, tail = values[: -config.horizon], values[-config.horizon :]
+    report, result = holdout_backtest(TimeSeries(values), config)
+    assert hexes(result) == hexes(forecast(TimeSeries(prefix), config))
+    assert repr(report) == repr(error_metrics(result.values, tail))
+    tampered = TimeSeries(np.concatenate([prefix, np.full(tail.size, 99.0)]))
+    assert hexes(holdout_backtest(tampered, config)[1]) == hexes(result)
+    assert (result.method, len(result.values)) == (method, config.horizon)
+    assert rmse is None or report.rmse <= rmse

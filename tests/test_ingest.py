@@ -10,7 +10,6 @@ import errno
 import hashlib
 import math
 import os
-import re
 from pathlib import Path
 
 import numpy as np
@@ -58,11 +57,12 @@ def reference_ingest_csv(path):
 
 
 def outcome(parse, path):
-    """What a parser makes of path: the values' bits and the file's digest, or the error."""
+    """What a parser makes of path: the values' bits and the file's digest, or the name of the
+    error's type and its message."""
     try:
         series, digest = parse(path)
-    except NgramcastError as exc:
-        return ("error", str(exc))
+    except (NgramcastError, OSError) as exc:
+        return (type(exc).__name__, str(exc))
     return ("ok", series.values.view(np.uint64).tolist(), digest)
 
 
@@ -127,22 +127,43 @@ def test_first_bad_row_wins(text, tmp_path):
     assert outcome(ingest_csv, path)[1].startswith("row ")
 
 
-@pytest.mark.parametrize("text, values", [
-    ("1\n2\n3\n", [1, 2, 3]),
-    ("date,count\n2021-01-01,7\n2021-01-02,9\n", [7, 9]),
+# (id, text or None for a file never written, the values or the refusal (type, message)): a
+# message names the file as PATH. An id names the test the row replaced.
+PINNED = [
+    ("single-column", "1\n2\n3\n", [1, 2, 3]),
+    ("two-columns-with-header", "date,count\n2021-01-01,7\n2021-01-02,9\n", [7, 9]),
     # a BOM glued to the first value once made that row look like a header, and lost it
-    ("\ufeff1.5\n2.5\n3.5\n", [1.5, 2.5, 3.5]),
-    ("\ufeffvalue\n1.5\n2.5\n", [1.5, 2.5]),
-    ("\ufeffdate,value\na,1.5\n", [1.5]),
-], ids=["single-column", "two-columns-with-header", "bom-values", "bom-header",
-        "bom-two-columns"])
-def test_pinned_values(text, values, tmp_path):
+    ("bom-values", "\ufeff1.5\n2.5\n3.5\n", [1.5, 2.5, 3.5]),
+    ("bom-header", "\ufeffvalue\n1.5\n2.5\n", [1.5, 2.5]),
+    ("bom-two-columns", "\ufeffdate,value\na,1.5\n", [1.5]),
+    # one data row is a one-point series; a header or blank lines alone hold no data
+    ("TestShortInputs.test_one_row_is_a_one_point_series", "4.5\n", [4.5]),
+    ("TestShortInputs.test_header_and_one_row_is_a_one_point_series",
+     "date,value\n2021-01-01,4.5\n", [4.5]),
+    *((f"TestShortInputs.test_header_only_is_empty-{case}", text,
+       (NgramcastError, "no data rows in PATH"))
+      for case, text in [("value", "value\n"), ("date-value", "date,value\n"),
+                         ("blank-lines", "\n \n"), ("newline", "\n")]),
+    ("test_missing_file", None,
+     (FileNotFoundError, f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'PATH'")),
+]
+
+
+@pytest.mark.parametrize("text, expected", [
+    pytest.param(*row, id=name) for name, *row in PINNED])
+def test_pinned_values(text, expected, tmp_path):
+    """ingest_csv gives the row's values and the SHA-256 of the file, or the row's refusal,
+    and the reference parser gives the same."""
     path = tmp_path / "s.csv"
-    path.write_bytes(text.encode("utf-8"))
-    series, digest = ingest_csv(path)
-    assert series.values.tolist() == values
-    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert outcome(ingest_csv, path) == outcome(reference_ingest_csv, path)
+    if text is not None:
+        path.write_bytes(text.encode("utf-8"))
+    got = outcome(ingest_csv, path)
+    assert got == outcome(reference_ingest_csv, path)
+    if isinstance(expected, list):
+        assert got == ("ok", np.array(expected, dtype=np.float64).view(np.uint64).tolist(),
+                       hashlib.sha256(path.read_bytes()).hexdigest())
+    else:
+        assert got == (expected[0].__name__, expected[1].replace("PATH", str(path)))
 
 
 @seed(20221019)
@@ -186,34 +207,3 @@ def test_pieces_are_cut_right_after_newlines(text, monkeypatch):
         assert "".join(pieces) == text
         assert all(p.endswith("\n") for p in pieces[:-1])
         assert [line for p in pieces for line in p.splitlines()] == text.splitlines()
-
-
-class TestShortInputs:
-    """One data row is a one-point series; a header or blank lines alone hold no data."""
-
-    def test_one_row_is_a_one_point_series(self, tmp_path):
-        path = tmp_path / "s.csv"
-        path.write_text("4.5\n")
-        series, _ = ingest_csv(path)
-        assert series.values.tolist() == [4.5]
-
-    def test_header_and_one_row_is_a_one_point_series(self, tmp_path):
-        path = tmp_path / "s.csv"
-        path.write_text("date,value\n2021-01-01,4.5\n")
-        series, _ = ingest_csv(path)
-        assert series.values.tolist() == [4.5]
-
-    @pytest.mark.parametrize("text", ["value\n", "date,value\n", "\n \n", "\n"])
-    def test_header_only_is_empty(self, tmp_path, text):
-        path = tmp_path / "s.csv"
-        path.write_text(text)
-        with pytest.raises(NgramcastError, match=f"^no data rows in {re.escape(str(path))}$"):
-            ingest_csv(path)
-
-
-def test_missing_file(tmp_path):
-    path = tmp_path / "nope.csv"
-    with pytest.raises(FileNotFoundError) as caught:
-        ingest_csv(path)
-    assert (type(caught.value), str(caught.value)) == (
-        FileNotFoundError, f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(path)!r}")

@@ -233,6 +233,16 @@ def uniform_pairs(seed, count, sizes, scale=1.0):
         yield draw, rng.uniform(-5, 5, size=n) * scale, rng.uniform(-5, 5, size=n) * scale, rng
 
 
+def equal_draws(seed, count):
+    """count draws of (draw, c, d) from default_rng(seed): n in [2, 41), c is n equal values of
+    uniform(-1, 1) times 10^k for k in [-300, 300], and d is n uniform(-1, 1) values."""
+    rng = np.random.default_rng(seed)
+    for draw in range(count):
+        n = int(rng.integers(2, 41))
+        constant = np.full(n, rng.uniform(-1, 1) * 10.0 ** int(rng.integers(-300, 301)))
+        yield draw, constant, rng.uniform(-1, 1, n)
+
+
 # (id, a, b[, repr of r[, (c, d)]]): each id names the test the row replaced
 PEARSONS = [
     ("test_exact_linear_relations-up", [1, 2, 3], [2, 4, 6], "1.0"),
@@ -261,17 +271,22 @@ PEARSONS = [
     ("test_non_finite_input_is_nan-nan", [math.nan, 1, 2], [1, 2, 4], "nan"),
     ("test_non_finite_input_is_nan-inf", [1, 2, 4], [1, math.inf, 2], "nan"),
     ("test_one_point_is_undefined", [1.0], [2.0], "None"),
+    # an input of equal values has no r, whatever its float mean rounds to
+    *((f"test_all_values_equal_is_undefined-{draw}", constant, other, "None")
+      for draw, constant, other in equal_draws(16, 1950)),
 ]
 
 
 @pytest.mark.parametrize("a, b, shown, affine", [
     pytest.param(*row[1:], *[None] * (5 - len(row)), id=row[0]) for row in PEARSONS])
 def test_pearson(a, b, shown, affine):
-    """r is None exactly on fewer than 2 points or an input of equal values, else nan exactly on a
-    non-finite input, else pearson_oracle's r at 1e-12. Then the row's repr of r; with (c, d),
+    """r of (b, a) is r of (a, b), bit for bit. r is None exactly on fewer than 2 points or an
+    input of equal values, else nan exactly on a non-finite input, else pearson_oracle's r at
+    1e-12. Then the row's repr of r; with (c, d),
     r of (a, +-c*b + d) is +-r and r of (b, +-c*b + d) is +-1 at 1e-12. Every r is in [-1, 1]."""
     x, y = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     r = pearson(a, b)
+    assert repr(pearson(b, a)) == repr(r)
     if x.size < 2 or (x == x[0]).all() or (y == y[0]).all():
         assert r is None
     elif not np.isfinite([*x, *y]).all():
@@ -285,14 +300,3 @@ def test_pearson(a, b, shown, affine):
             for w, want in [(x, r), (y, 1.0)]:
                 got = pearson(w, sign * c * y + d)
                 assert -1.0 <= got <= 1.0 and abs(got - sign * want) <= 1e-12
-
-
-def test_all_values_equal_is_undefined():
-    # None exactly when an input's values are all equal, whatever its float mean rounds to
-    rng = np.random.default_rng(16)
-    for _ in range(1950):
-        n = int(rng.integers(2, 41))
-        constant = np.full(n, rng.uniform(-1, 1) * 10.0 ** int(rng.integers(-300, 301)))
-        other = rng.uniform(-1, 1, n)
-        assert pearson(constant, other) is None
-        assert pearson(other, constant) is None
