@@ -34,7 +34,9 @@ PHRASE = "tests/test_forecasting.py::test_phrase_forecast[{}]".format
 GENERATE = "tests/test_evaluation.py::test_generate[{}]".format
 BACKTEST = "tests/test_evaluation.py::test_backtest[{}]".format
 REFUSAL = "tests/test_refusals.py::test_refusal[{}]".format
-EVERY_RAISE = "tests/test_refusals.py::test_every_raise_site_is_reached"
+CLI = "tests/test_cli.py::test_cli_run[{}]".format
+INGEST = "tests/test_ingest.py::{}".format
+EVERY_RAISE = "tests/test_cli.py::test_every_raise_site_is_reached"
 
 MUTANTS = [
     # the matcher's pick: the least key that is not nan, ties to the latest admissible start
@@ -122,6 +124,33 @@ MUTANTS = [
       EVERY_RAISE]),
     ("quantize-wide-range-unchecked", "series.py", "if not math.isfinite(step):",
      "if math.isnan(step):", [REFUSAL("value-range-too-wide"), EVERY_RAISE]),
+    # the CLI: the held-out indices, the hint, the manifest, the flags, the error lines, ingest
+    ("backtest-first-index-not-held-out", "cli.py",
+     "first_index = series.values.size + 1 - (horizon if holdout else 0)",
+     "first_index = series.values.size + 1",
+     [CLI("TestBacktestCommand.test_backtest_reports_metrics")]),
+    ("hint-when-no-window-sets-the-minimum", "cli.py",
+     "if args.multiplier is not None or exc.minimum <= config.MIN_ROWS + horizon:",
+     "if args.multiplier is not None:", [CLI("test_no_hint_when_no_window_sets_the_minimum")]),
+    ("manifest-records-the-flag-not-the-config", "cli.py",
+     'settings["multiplier"] = config.multiplier', "pass",
+     [CLI("TestShortHorizonDefaults.test_runs_quietly-1"),
+      CLI("TestDefaults.test_forecast_and_backtest-forecast")]),
+    # the whole line: `not math.isfinite(value)` is in ingest_csv too
+    ("infinite-flag-accepted", "cli.py",
+     "if isinstance(value, float) and not math.isfinite(value):",
+     "if isinstance(value, float) and math.isnan(value):",
+     [CLI("test_non_finite_float_flag_is_a_usage_error-multiplier-inf")]),
+    ("unreadable-input-called-a-write", "cli.py",
+     'verb = "read" if exc.filename and name == getattr(args, "input", None) else "write"',
+     'verb = "write"', [CLI("TestForecastCommand.test_unusable_path_is_one_line_error-directory")]),
+    ("bom-kept", "cli.py", 'data.decode("utf-8-sig")', 'data.decode("utf-8")',
+     [INGEST("test_pinned_values[bom-values]")]),
+    ("header-rows-not-counted", "cli.py", "row, parts = 1 + header, []", "row, parts = 1, []",
+     [INGEST(r"test_first_bad_row_wins[t,v\nb,1\nc\n]")]),
+    ("warnings-dropped", "cli.py", 'print(f"warning: {w.message}", file=sys.stderr)', "pass",
+     [CLI("test_multiplier_warning_does_not_fail"),
+      CLI("test_constant_prefix_takes_the_shortcut")]),
 ]
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import errno
 import io
@@ -8,15 +9,20 @@ import os
 import re
 import subprocess
 import sys
+import traceback
+import warnings
 from contextlib import redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import ngramcast
-from ngramcast.cli import build_parser, main
+from ngramcast import TimeSeries, forecast, holdout_backtest
+from ngramcast.cli import _run_forecast, _run_generate, build_parser, main
 from ngramcast.evaluation import GeneratorSpec, generate
 from ngramcast.forecasting import ForecastConfig, HoltConfig
+from test_refusals import BELOW, EXCLUDED, HUGE, LINE, REFUSALS, SHORT, SIGN, TOO_LARGE
 
 
 def _values(**fields) -> list:
@@ -37,6 +43,9 @@ SERIES = {
        for n in (5, 6, 8, 10, 11, 14, 18, 100, 300)},
     **{f"noisy-{n}-but-its-first": _text(_values(length=n, noise=0.15, seed=7)[1:])
        for n in (5, 6, 8, 10, 11, 14, 18)},
+    "labelled-noisy-100": b"date,value\n" + "".join(
+        f"2021-{k},{v}\n" for k, v in enumerate(_values(length=100, noise=0.15, seed=7), 1)
+    ).encode(),
     "noisy-100-at-1e160": _text(v * 1e160 for v in _values(noise=0.15, seed=7)),
     "tiny": _text(_TINY),
     "range-30": _text(range(30)),
@@ -61,14 +70,7 @@ SERIES = {
     "huge-tail": _text([0.0] * 55 + [1.5e308] * 5),
     "huge-tail-then-zeros": _text([0.0] * 55 + [1.5e308] * 5 + [0.0] * 5),
 }
-_HUGE = 10**400  # past float64
 _EISDIR = os.strerror(errno.EISDIR)
-_TOO_LARGE = ("error: multiplier {} times horizon {} is too large:"
-              " the window length must be below 2^53\n")
-_BELOW = "error: derived window length {} is below {} (horizon={}, multiplier={}){}\n"
-_SHORT = "error: series length {} is below the minimum required length {}{}\n"
-_SIGN = ": r of {} {}points is +1 or -1, so it would carry only a sign"
-_LINE = ": a line fits any 2 points, so a detrended window of 2 is only rounding noise"
 _HINT = (": the default --multiplier {} makes a window of {} at --horizon {};"
          " a smaller --multiplier needs fewer rows")
 _CONSTANT = "warning: constant series: quantization skipped, forecast is the constant\n"
@@ -82,6 +84,11 @@ MODES = [("difference-none", ""), ("difference-linear", "--trend linear"),
          ("correlation-none", "--criterion correlation"),
          ("correlation-linear", "--criterion correlation --trend linear"),
          ("holt", "--method holt")]
+
+
+def _error(template, *args, then="") -> str:
+    """The stderr of a run that a library refusal ends: its message as one error line."""
+    return f"error: {template.format(*args)}{then}\n"
 
 
 def _on_a_constant_series_too(case, flags, stderr) -> list:
@@ -117,6 +124,15 @@ def _keeps_tiny_rmse(report, out, plot) -> bool:
     return rmse >= mae > 0.0 and rmse == pytest.approx(exact, rel=1e-12)
 
 
+def _reads_past_labels(report, out, plot) -> bool:
+    # the labelled file's values are those of noisy-100, so its forecast is the library's on them
+    series, config = TimeSeries(_values(length=100, noise=0.15, seed=7)), ForecastConfig(20)
+    result = (holdout_backtest(series, config)[1] if report["manifest"]["config"]["holdout"]
+              else forecast(series, config))
+    return ((report["matched_start"], report["forecast"]["values"])
+            == (result.matched_start, list(result.values)))
+
+
 def _defaults(holdout) -> dict:  # the manifest of a run that gives only --input and --horizon 7
     phrase, holt = ForecastConfig(7), HoltConfig(7)
     return {"input": "s.csv", "horizon": 7, "multiplier": phrase.multiplier,
@@ -146,56 +162,56 @@ RUNS = [
           ("generate", "", "phase", "inf")]),
     ("test_invalid_flag_combination", "generate", "--kind sinusoid --slope 0.5", None, 1,
      "error: slope and quadratic must be 0 for kind 'sinusoid'\n"),
-    ("length-past-2^53", "generate", f"--length {_HUGE}", None, 1,
-     f"error: length must be at most 2^53, got {_HUGE}\n"),
+    ("length-past-2^53", "generate", f"--length {HUGE}", None, 1,
+     f"error: length must be at most 2^53, got {HUGE}\n"),
     ("test_bad_levels_wins_over_a_missing_file", "forecast", "--horizon 5 --levels 0", "missing",
      1, "error: levels must be >= 1, got 0\n"),
     # 10^400 does not convert to float64; the config refuses it before the input is read
     *((f"test_integer_past_float64_is_one_line_error-{flag}-{series}", "forecast backtest",
-       f"--horizon 5 --{flag} {_HUGE}", series, 1, stderr)
-      for flag, stderr in [("levels", f"error: levels must be below 2^63, got {_HUGE}\n"),
-                           ("horizon", _TOO_LARGE.format(1.0, _HUGE))]
+       f"--horizon 5 --{flag} {HUGE}", series, 1, stderr)
+      for flag, stderr in [("levels", f"error: levels must be below 2^63, got {HUGE}\n"),
+                           ("horizon", _error(TOO_LARGE, 1.0, HUGE))]
       for series in ["paper", "missing"]),
     # 1e300 and 2.5e15 are finite, but past 2^53 ceil no longer gives the exact product
     *((f"test_{name}_window_length_is_one_line_error-{multiplier}", "forecast",
        f"--horizon {horizon} --multiplier {multiplier}", "paper", 1,
-       _TOO_LARGE.format(float(multiplier), horizon))
+       _error(TOO_LARGE, float(multiplier), horizon))
       for name, horizon, multiplier in [("overflowing", 5, "1e308"), ("inexact", 5, "1e300"),
                                         ("inexact", 4, "2.5e15")]),
     *_on_a_constant_series_too("overflow", "--horizon 5 --multiplier 1e308",
-                               _TOO_LARGE.format(1e308, 5)),
+                               _error(TOO_LARGE, 1e308, 5)),
     ("test_bad_flag_fails_before_the_input_is_read-window", "backtest",
-     "--horizon 5 --multiplier 1e308", "missing", 1, _TOO_LARGE.format(1e308, 5)),
+     "--horizon 5 --multiplier 1e308", "missing", 1, _error(TOO_LARGE, 1e308, 5)),
     # Holt's steps 1..P are exact in float64 up to 2^53; past it the tuple would fill memory
-    *((f"holt-horizon-past-2^53-{series}", "forecast backtest", f"--method holt --horizon {_HUGE}",
-       series, 1, f"error: horizon must be at most 2^53, got {_HUGE}\n")
+    *((f"holt-horizon-past-2^53-{series}", "forecast backtest", f"--method holt --horizon {HUGE}",
+       series, 1, f"error: horizon must be at most 2^53, got {HUGE}\n")
       for series in ["paper", "missing"]),
     *_on_a_constant_series_too("window", "--horizon 5 --multiplier 0.2",
-                               _BELOW.format(1, 2, 5, 0.2, "")),
+                               _error(BELOW, 1, 2, 5, 0.2, "")),
     *_on_a_constant_series_too("derived-window", "--horizon 1 --multiplier 0.5",
-                               _BELOW.format(1, 2, 1, 0.5, "")),
+                               _error(BELOW, 1, 2, 1, 0.5, "")),
     ("test_bad_flag_fails_before_the_input_is_read-derived-window", "backtest",
-     "--horizon 5 --multiplier 0.1", "missing", 1, _BELOW.format(1, 2, 5, 0.1, "")),
+     "--horizon 5 --multiplier 0.1", "missing", 1, _error(BELOW, 1, 2, 5, 0.1, "")),
     ("test_window_error_wins_over_a_too_short_series", "forecast backtest",
-     "--horizon 5 --multiplier 0.1", "1-3", 1, _BELOW.format(1, 2, 5, 0.1, "")),
+     "--horizon 5 --multiplier 0.1", "1-3", 1, _error(BELOW, 1, 2, 5, 0.1, "")),
     ("window-of-2-under-a-linear-trend", "forecast backtest",
      "--horizon 1 --multiplier 1.5 --trend linear", "noisy-300", 1,
-     _BELOW.format(2, 3, 1, 1.5, _LINE)),
+     _error(BELOW, 2, 3, 1, 1.5, LINE)),
     *_on_a_constant_series_too("zero-multiplier", "--horizon 5 --multiplier=0",
                                "error: multiplier must be > 0, got 0.0\n"),
     ("test_bad_flag_fails_before_the_input_is_read-xi", "backtest",
      "--horizon 5 --method holt --xi 2", "missing", 1, "error: xi must be in [0, 1], got 2.0\n"),
     ("window-of-2-under-correlation", "forecast backtest",
      "--horizon 1 --multiplier 1.5 --criterion correlation", "noisy-300", 1,
-     _BELOW.format(2, 3, 1, 1.5, _SIGN.format(2, ""))),
+     _error(BELOW, 2, 3, 1, 1.5, SIGN.format(2, ""))),
     # the matcher once picked start 296 here, with r = 1.0 from the rounding in flat residues
     ("test_window_of_2_under_a_linear_trend_is_one_line_error", "backtest",
      "--horizon 1 --multiplier 1.5 --criterion correlation --trend linear", "noisy-300", 1,
-     _BELOW.format(2, 4, 1, 1.5, _SIGN.format(3, "detrended "))),
+     _error(BELOW, 2, 4, 1, 1.5, SIGN.format(3, "detrended "))),
     # the default multiplier 2.25 makes a window of 3 at --horizon 1: the line names it
     ("default-window-of-3-under-correlation-and-a-linear-trend", "forecast backtest",
      "--horizon 1 --criterion correlation --trend linear", "noisy-300", 1,
-     _BELOW.format(3, 4, 1, 2.25, _SIGN.format(3, "detrended "))),
+     _error(BELOW, 3, 4, 1, 2.25, SIGN.format(3, "detrended "))),
     ("test_missing_input_file", "forecast", "--horizon 5", "missing", 1,
      "error: file not found: s.csv\n"),
     ("TestForecastCommand.test_unusable_path_is_one_line_error-directory", "forecast",
@@ -211,10 +227,10 @@ RUNS = [
      "--horizon 5", "wide", 1,
      "error: value range [-1e+308, 1e+308] is too wide: max - min overflows float64\n"),
     ("test_too_short_names_minimum", "forecast", "--horizon 20", "mod-7", 1,
-     _SHORT.format(30, 41, _HINT.format(1.0, 20, 20))),
+     _error(SHORT, 30, 41, then=_HINT.format(1.0, 20, 20))),
     # a backtest counts the held-out tail in the rows it needs; Holt starts from two rows
     *((f"test_too_short_names_the_files_rows-{case}", "backtest", flags, "paper-7", 1,
-       _SHORT.format(7, minimum, hint))
+       _error(SHORT, 7, minimum, then=hint))
       for case, flags, minimum, hint in [
           ("phrase", "--horizon 5 --multiplier 1", 16, ""),
           ("holt", "--horizon 6 --method holt", 8, ""),
@@ -222,19 +238,20 @@ RUNS = [
     # a row fewer than the default window needs names the flag, unless the flag is given
     *((f"{name}-{horizon}-{rows - 1}-rows{case}", subcommand, f"--horizon {horizon}{flag}",
        f"noisy-{rows}-but-its-first", 1,
-       _SHORT.format(rows - 1, rows, _HINT.format(2.25, 2 * horizon + 1, horizon) if hint else ""))
+       _error(SHORT, rows - 1, rows,
+              then=_HINT.format(2.25, 2 * horizon + 1, horizon) if hint else ""))
       for name, subcommand, horizon, rows in _MINIMUM
       for case, flag, hint in [("", "", True), ("-multiplier-given", " --multiplier 2.25", False)]
       if subcommand == "forecast" or hint),
     # a backtest at --horizon 3 needs 4 rows whatever the window, so no --multiplier helps
     ("test_no_hint_when_no_window_sets_the_minimum", "backtest", "--horizon 3", "1-3", 1,
-     _SHORT.format(3, 4, "")),
+     _error(SHORT, 3, 4)),
     *((f"test_holt_names_a_two_row_prefix-{rows}-{horizon}", "backtest",
-       f"--method holt --horizon {horizon}", f"1-{rows}", 1, _SHORT.format(rows, minimum, ""))
+       f"--method holt --horizon {horizon}", f"1-{rows}", 1, _error(SHORT, rows, minimum))
       for rows, horizon, minimum in [(3, 5, 7), (5, 5, 7), (6, 5, 7), (2, 2, 4)]),
     # one data row is a one-point series, too short for Holt
     *((f"TestShortInputs.test_one_point_forecast_is_one_line_error-{series}", "forecast",
-       "--horizon 1 --method holt", series, 1, _SHORT.format(1, 2, ""))
+       "--horizon 1 --method holt", series, 1, _error(SHORT, 1, 2))
       for series in ["one-row", "labelled-one-row"]),
     # the query quantizes to one grid value; its r with a flat window was noise, 1.0 at start 66
     *((f"test_constant_query_under_correlation_is_one_line_error-{trend}", "forecast",
@@ -244,7 +261,7 @@ RUNS = [
     # both windows are ten values of 1/3, whose detrended rounding once scored r = 0.0474
     ("test_constant_candidates_under_correlation_are_one_line_error", "forecast",
      "--horizon 1 --multiplier 9.5 --criterion correlation --trend linear", "thirds", 1,
-     "error: every candidate window was excluded under the correlation criterion\n"),
+     _error(EXCLUDED)),
     # the least-squares sums of the linear trend overflow float64
     ("TestForecastCommand.test_too_large_values_are_one_line_error-linear-trend", "forecast",
      "--horizon 5 --trend linear", "ramp-to-6e307", 1, "error: values up to 6e+307 are too large"
@@ -281,6 +298,8 @@ RUNS = [
     *((f"TestDefaults.test_forecast_and_backtest-{subcommand}", subcommand, "--horizon 7", "paper",
        0, "", lambda r, *_, config=_defaults(subcommand == "backtest"):
        r["manifest"]["config"] == config) for subcommand in ["forecast", "backtest"]),
+    ("labelled-file-is-read-past-its-labels", "forecast backtest", "--horizon 20",
+     "labelled-noisy-100", 0, "", _reads_past_labels),
     ("TestForecastCommand.test_forecast_writes_outputs", "forecast",
      "--horizon 20 --multiplier 1 --levels 32 --criterion difference --trend none", "paper", 0,
      "", _writes_outputs),
@@ -474,8 +493,6 @@ def test_readme_lists_the_table_messages():
     the stderr of the refused and warning rows of RUNS, in the tables' order. A library message
     is a span with a space in it; a CLI line begins with "error:", "warning:" or "ngramcast:
     error:"."""
-    from test_refusals import REFUSALS  # it imports this module
-
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
     def spans(after):  # the spans of the bullet list after the line ending in after
@@ -488,3 +505,56 @@ def test_readme_lists_the_table_messages():
            if span.startswith(("error:", "warning:", "ngramcast: error:"))]
     _in_order(cli, [stderr.strip() for _, _, _, _, code, stderr, *_ in RUNS
                     if code or stderr.startswith("warning:")])
+
+
+PACKAGE = Path(ngramcast.__file__).resolve().parent
+
+
+def raise_sites() -> dict:
+    """{(file, first line): last line} of every raise statement in the package that names an
+    exception, and of every call of one of its enums: the enum's own ValueError is raised there.
+    A bare raise passes on an exception that another site raised."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    enums = {node.name for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) and "enum.Enum" in map(ast.unparse, node.bases)}
+    return {(str(path), node.lineno): node.end_lineno for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            or isinstance(node, ast.Call) and ast.unparse(node.func) in enums}
+
+
+def _refused_run(subcommand, flags, series):
+    """A refused RUNS row, run by the function main calls, so that its exception escapes."""
+    Path("s.csv").unlink(missing_ok=True)
+    if series in SERIES:
+        Path("s.csv").write_bytes(SERIES[series])
+    args = build_parser().parse_args(run_argv(subcommand, flags))
+    (_run_generate if subcommand == "generate" else _run_forecast)(args)
+
+
+def test_every_raise_site_is_reached(tmp_path, monkeypatch):
+    """Each raise site is the innermost package frame of the exception of a REFUSALS row or of
+    a refused run (exit 1) of RUNS: a new raise needs a row. Only the named row's exception has
+    no package frame."""
+    monkeypatch.chdir(tmp_path)
+    sites = raise_sites()
+    calls = [(name, call) for name, call, *_ in REFUSALS] + [
+        (name, partial(_refused_run, subcommand, flags, series))
+        for name, subcommands, flags, series, code, *_ in RUNS if code == 1
+        for subcommand in subcommands.split()]
+    reached, outside = set(), []
+    for name, call in calls:
+        with warnings.catch_warnings(), pytest.raises(Exception) as caught:
+            warnings.simplefilter("error")
+            call()
+        frames = [f for f in traceback.extract_tb(caught.tb)
+                  if Path(f.filename).resolve().parent == PACKAGE]
+        if not frames:
+            outside.append(name)
+            continue
+        reached |= {(path, first) for path, first in sites
+                    if path == str(Path(frames[-1].filename).resolve())
+                    and first <= frames[-1].lineno <= sites[path, first]}
+    assert len(sites) == 50  # 47 raise statements and 3 enum calls
+    assert sorted(set(sites) - reached) == []
+    assert outside == ["test_values_are_immutable"]  # the one refusal numpy makes itself

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from ngramcast import cli
+from test_cli import _reject
 
 GOOD = st.one_of(
     st.integers(-3, 3).map(str),  # few levels: exact ties are common
@@ -90,10 +91,6 @@ def invocations(draw):
     names = ["--output"] if subcommand == "generate" else ["--output", "--plot-data", "--report"]
     outputs = {flag: flag.strip("-") + ".out" for flag in names if draw(st.booleans())}
     return subcommand, flags, outputs
-
-
-def _reject(constant):
-    raise ValueError(f"{constant} is not valid JSON")
 
 
 def assert_finite_csv(text):

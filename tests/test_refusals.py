@@ -1,29 +1,24 @@
 """The library's refusals in one table, in the README's order. A row is (id, a zero-argument
 call, exception type, message), and a SeriesTooShort row adds its .minimum. An id names the
 one-off test the row replaced (with its class where two shared a name) or the rule it adds.
-test_every_raise_site_is_reached requires each raise in the package to be reached by a row here
-or by a refused run of tests/test_cli.py."""
+The templates of the messages that tests/test_cli.py also checks are stated here once, and it
+builds its error lines from them; its test_every_raise_site_is_reached requires each raise in
+the package to be reached by a row here or by a refused run of its own table."""
 
-import ast
 import math
-import traceback
 import warnings
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ngramcast
 from ngramcast import (BacktestReport, Forecast, ForecastConfig, GeneratorSpec, HoltConfig,
                        NgramcastError, SimilarityCriterion, TimeSeries, TrendMode, forecast,
                        generate, holdout_backtest)
-from ngramcast.cli import _run_forecast, _run_generate, build_parser
 from ngramcast.evaluation import error_metrics
 from ngramcast.forecasting import forecast_holt
 from ngramcast.matching import find_best_match
 from ngramcast.series import NoValidCandidate, SeriesTooShort, fit_linear_trend, pearson, quantize
-from test_cli import RUNS, SERIES, run_argv
 from test_matching import SINE_THEN_THIRDS
 
 DIFF, CORR = SimilarityCriterion.DIFFERENCE, SimilarityCriterion.CORRELATION
@@ -207,56 +202,3 @@ def test_refusal(call, kind, message, minimum):
         call()
     assert (type(caught.value), str(caught.value)) == (kind, message)
     assert getattr(caught.value, "minimum", None) == minimum
-
-
-PACKAGE = Path(ngramcast.__file__).resolve().parent
-
-
-def raise_sites() -> dict:
-    """{(file, first line): last line} of every raise statement in the package that names an
-    exception, and of every call of one of its enums: the enum's own ValueError is raised there.
-    A bare raise passes on an exception that another site raised."""
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
-    enums = {node.name for tree in trees.values() for node in ast.walk(tree)
-             if isinstance(node, ast.ClassDef) and "enum.Enum" in map(ast.unparse, node.bases)}
-    return {(str(path), node.lineno): node.end_lineno for path, tree in trees.items()
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Raise) and node.exc is not None
-            or isinstance(node, ast.Call) and ast.unparse(node.func) in enums}
-
-
-def _refused_run(subcommand, flags, series):
-    """A refused RUNS row, run by the function main calls, so that its exception escapes."""
-    Path("s.csv").unlink(missing_ok=True)
-    if series in SERIES:
-        Path("s.csv").write_bytes(SERIES[series])
-    args = build_parser().parse_args(run_argv(subcommand, flags))
-    (_run_generate if subcommand == "generate" else _run_forecast)(args)
-
-
-def test_every_raise_site_is_reached(tmp_path, monkeypatch):
-    """Each raise site is the innermost package frame of a refusal row's exception, or of a
-    refused run's (exit 1) in tests/test_cli.py: a new raise needs a row. Only the named row's
-    exception has no package frame."""
-    monkeypatch.chdir(tmp_path)
-    sites = raise_sites()
-    calls = [(name, call) for name, call, *_ in REFUSALS] + [
-        (name, partial(_refused_run, subcommand, flags, series))
-        for name, subcommands, flags, series, code, *_ in RUNS if code == 1
-        for subcommand in subcommands.split()]
-    reached, outside = set(), []
-    for name, call in calls:
-        with warnings.catch_warnings(), pytest.raises(Exception) as caught:
-            warnings.simplefilter("error")
-            call()
-        frames = [f for f in traceback.extract_tb(caught.tb)
-                  if Path(f.filename).resolve().parent == PACKAGE]
-        if not frames:
-            outside.append(name)
-            continue
-        reached |= {(path, first) for path, first in sites
-                    if path == str(Path(frames[-1].filename).resolve())
-                    and first <= frames[-1].lineno <= sites[path, first]}
-    assert len(sites) == 50  # 47 raise statements and 3 enum calls
-    assert sorted(set(sites) - reached) == []
-    assert outside == ["test_values_are_immutable"]  # the one refusal numpy makes itself

@@ -6,12 +6,14 @@ traced memory must stay a small multiple of the file read or written, which
 holding one Python object per row would exceed several times over.
 """
 
+import json
 import tracemalloc
 
 import pytest
 
 from ngramcast import cli
 from ngramcast.evaluation import GeneratorSpec, generate
+from test_cli import _reject
 
 B = cli._BATCH
 ROWS = [1, B - 1, B, B + 1, 3 * B + 1]
@@ -82,6 +84,7 @@ def test_holt_backtest_peak_memory_is_under_4x_its_input(tmp_path):
     peak = traced_peak(["backtest", "--input", str(series), "--horizon", "20", "--method", "holt",
                         "--plot-data", str(tmp_path / "plot.csv"),
                         "--report", str(tmp_path / "report.json")])
+    json.loads((tmp_path / "report.json").read_text(), parse_constant=_reject)  # strict JSON
     size = series.stat().st_size
     assert peak <= 4 * size, f"{peak / size:.1f} x"
 
@@ -94,5 +97,6 @@ def test_labelled_holt_backtest_peak_memory_is_under_3x_its_input(tmp_path):
     peak = traced_peak(["backtest", "--input", str(series), "--horizon", "20", "--method", "holt",
                         "--plot-data", str(tmp_path / "plot.csv"),
                         "--report", str(tmp_path / "report.json")])
+    json.loads((tmp_path / "report.json").read_text(), parse_constant=_reject)  # strict JSON
     size = series.stat().st_size
     assert peak <= 3 * size, f"{peak / size:.1f} x"
