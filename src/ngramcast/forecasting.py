@@ -180,12 +180,13 @@ def forecast_holt(series: TimeSeries, config: HoltConfig) -> Forecast:
     if len(x) < config.MIN_ROWS:
         raise SeriesTooShort(len(x), config.MIN_ROWS)
     xi, phi = config.xi, config.phi
+    value_weight, step_weight = 1.0 - xi, 1.0 - phi  # of the new value and the new step
     level = x[0]
     trend = x[1] - x[0]
     for value in x[1:]:
         prev = level
-        level = (1.0 - xi) * value + xi * (level + trend)
-        trend = (1.0 - phi) * (level - prev) + phi * trend
+        level = value_weight * value + xi * (level + trend)
+        trend = step_weight * (level - prev) + phi * trend
     values = tuple(level + j * trend for j in range(1, config.horizon + 1))
     if not all(map(math.isfinite, values)):
         raise NgramcastError(f"values up to {max(map(abs, x)):g} are too large for Holt"

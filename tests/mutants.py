@@ -13,6 +13,7 @@ copy as its pythonpath:
 
 PYTHONPATH is dropped from the child's environment, since a checkout's src/ on it would
 shadow the copy, and no bytecode is written, so no stale .pyc of one mutant serves the next.
+Hypothesis keeps its files, such as the patch of a failing example, in the temporary directory.
 """
 
 import os
@@ -62,6 +63,9 @@ MUTANTS = [
      "valid[lo : lo + step] = (chunk != chunk[:, :1]).any(axis=1)", "valid[lo : lo + step] = True",
      [PICK("test_correlation_nan_and_flat_rule-all-nan-then-flat"),
       PICK("test_reference_keeps_the_documented_rules-flat-windows")]),
+    # the chunked scan: a chunk's windows are scored with that chunk's validity flags
+    ("scan-chunk-flags-misaligned", "matching.py", "zip(chunk, valid[lo:])", "zip(chunk, valid)",
+     ["tests/test_matching.py::test_scan_keeps_the_bits_of_a_window_loop[correlation]"]),
     # quantize: level floor((v - min) / step + 0.5), the top one pinned to max
     ("quantize-ties-go-down", "series.py", "idx = np.floor((series.values - vmin) / step + 0.5)",
      "idx = np.ceil((series.values - vmin) / step - 0.5)",
@@ -89,10 +93,13 @@ MUTANTS = [
      "rmse = math.ldexp(float(np.sqrt((unit * unit).mean())), e)",
      "rmse = math.ldexp(float(np.sqrt((unit * unit).sum() / max(unit.size - 1, 1))), e)",
      [METRICS("test_constant_offset"), METRICS("test_mae_never_exceeds_rmse-0")]),
-    # Holt's recurrence starts from x_1 and the trend x_2 - x_1
+    # Holt's recurrence starts from x_1 and the trend x_2 - x_1, and weighs each step by 1 - phi
     ("holt-trend-starts-at-0", "forecasting.py", "trend = x[1] - x[0]", "trend = 0.0",
      [HOLT("test_exact_on_lines-0.5-0.5"), HOLT("test_hand_computed_recurrence"),
       HOLT("test_forecast_runs_holt_for_a_holt_config-7")]),
+    ("holt-slope-weighted-like-the-value", "forecasting.py",
+     "trend = step_weight * (level - prev)", "trend = value_weight * (level - prev)",
+     [HOLT("test_exact_on_lines-0.25-0.75"), HOLT("test_forecast_runs_holt_for_a_holt_config-7")]),
     # the forecasting pipeline: the window rule, the default multiplier, the trend transfer,
     # the holdout prefix and the generator's noise
     ("window-length-rounds-to-nearest", "forecasting.py",
@@ -158,6 +165,7 @@ def run_pytest(src: Path, nodes) -> subprocess.CompletedProcess:
     """pytest on the node ids, from the repository root, importing ngramcast from src."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env["HYPOTHESIS_STORAGE_DIRECTORY"] = str(src.parent / ".hypothesis")  # a killer's patches
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rf", "-o", f"pythonpath={src}",
          "-p", "no:cacheprovider", *nodes],

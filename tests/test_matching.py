@@ -2,14 +2,15 @@ import functools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from ngramcast import GeneratorSpec, SimilarityCriterion, TimeSeries, generate
-from ngramcast.matching import _CHUNK, find_best_match
+from ngramcast import GeneratorSpec, SimilarityCriterion, TimeSeries, generate, matching
+from ngramcast.matching import find_best_match
 from ngramcast.series import (
     NoValidCandidate,
     detrend,
@@ -169,42 +170,44 @@ def test_pick_is_most_recent_exact_tie():
 
 
 SCAN_CASES = dict(
+    rows=st.integers(3, 9),  # rows a chunk: 3 is the least that leaves (1, -1) two candidates
     chunks=st.sampled_from([(1, -1), (1, 0), (1, 1), (2, 37)]),
     n=st.sampled_from(range(3, 65)),  # uniform: hypothesis' integers favour the slow small n
     p=st.integers(1, 4), exponent=st.integers(-300, 300) | st.sampled_from([-300, 300]),
-    offset=st.just(0.0) | st.floats(-1e12, 1e12), on_grid=st.booleans(),
+    offset=st.just(0.0) | st.floats(-1e12, 1e12), on_grid=st.booleans(), flat=st.booleans(),
     data_seed=st.integers(0, 2**32 - 1))
 
 
-def scan_series(chunks, n, p, exponent, offset, on_grid, data_seed):
-    """A random walk with chunks[0] chunks of candidates plus chunks[1]."""
-    count = chunks[0] * (_CHUNK // n) + chunks[1]  # candidates: a chunk holds _CHUNK // n rows
-    walk = np.cumsum(np.random.default_rng(data_seed).normal(size=count + n + p - 1))
+def scan_series(rows, chunks, n, p, exponent, offset, on_grid, flat, data_seed):
+    """A random walk with chunks[0] chunks of rows candidates plus chunks[1]; if flat, the walk
+    holds still for n values from a random start in every chunk."""
+    count = chunks[0] * rows + chunks[1]
+    rng = np.random.default_rng(data_seed)
+    walk = np.cumsum(rng.normal(size=count + n + p - 1))
     if on_grid:  # half steps: exact ties are common, as on a quantized series
         walk = np.round(2 * walk) / 2
+    if flat:  # windows of equal values: excluded under correlation, scored under difference
+        for lo in range(0, count, rows):
+            start = lo + int(rng.integers(min(rows, count - lo)))
+            walk[start : start + n] = walk[start]
     return TimeSeries(walk * 10.0**exponent + offset)
 
 
+@pytest.mark.parametrize("criterion", [DIFF, CORR], ids=[DIFF.value, CORR.value])
 @seed(20261020)
 @settings(max_examples=300, deadline=None, database=None)
 @given(**SCAN_CASES)
-def test_difference_scan_keeps_the_bits_of_a_window_loop(chunks, n, p, exponent, offset, on_grid,
-                                                         data_seed):
-    """Across chunk boundaries, the pick and the bits of its score are the per-window scan's."""
-    series = scan_series(chunks, n, p, exponent, offset, on_grid, data_seed)
-    for detrend_mode in (False, True):
-        checked_pick(series.values, n, p, DIFF, detrend_mode)
+def test_scan_keeps_the_bits_of_a_window_loop(criterion, rows, chunks, n, p, exponent, offset,
+                                              on_grid, flat, data_seed):
+    """Across chunk boundaries, the pick and the bits of its score are the per-window scan's.
 
-
-@seed(20261021)
-@settings(max_examples=100, deadline=None, database=None)
-@given(**SCAN_CASES)
-def test_correlation_scan_keeps_the_bits_of_a_window_loop(chunks, n, p, exponent, offset,
-                                                          on_grid, data_seed):
-    """Across chunk boundaries, the pick and the bits of its r are the per-window scan's."""
-    series = scan_series(chunks, n, p, exponent, offset, on_grid, data_seed)
-    for detrend_mode in (False, True):
-        checked_pick(series.values, n, p, CORR, detrend_mode)
+    The property does not depend on the chunk's size, so the scan runs in chunks of a few rows
+    and crosses a boundary every few windows; test_k2000_scan_keeps_its_bits covers the real
+    chunk."""
+    series = scan_series(rows, chunks, n, p, exponent, offset, on_grid, flat, data_seed)
+    with mock.patch.object(matching, "_CHUNK", rows * n):  # a chunk of rows windows
+        for detrend_mode in (False, True):
+            checked_pick(series.values, n, p, criterion, detrend_mode)
 
 
 @pytest.mark.parametrize("detrend_mode", [False, True], ids=["none", "linear"])
