@@ -13,7 +13,9 @@ copy as its pythonpath:
 
 PYTHONPATH is dropped from the child's environment, since a checkout's src/ on it would
 shadow the copy, and no bytecode is written, so no stale .pyc of one mutant serves the next.
-Hypothesis keeps its files, such as the patch of a failing example, in the temporary directory.
+Hypothesis keeps its files, such as the patch of a failing example, in the temporary directory,
+and does not shrink a failing example: the runner reads only that a node fails, and shrinking
+is most of a hypothesis killer's time.
 """
 
 import os
@@ -38,6 +40,8 @@ REFUSAL = "tests/test_refusals.py::test_refusal[{}]".format
 CLI = "tests/test_cli.py::test_cli_run[{}]".format
 INGEST = "tests/test_ingest.py::{}".format
 EVERY_RAISE = "tests/test_cli.py::test_every_raise_site_is_reached"
+MEMORY = "tests/test_matching.py::test_scan_memory_is_bounded[{}]".format
+SMALL_CHUNK = [MEMORY(f"{c}-{t}") for c in ("difference", "correlation") for t in ("none", "linear")]
 
 MUTANTS = [
     # the matcher's pick: the least key that is not nan, ties to the latest admissible start
@@ -63,9 +67,20 @@ MUTANTS = [
      "valid[lo : lo + step] = (chunk != chunk[:, :1]).any(axis=1)", "valid[lo : lo + step] = True",
      [PICK("test_correlation_nan_and_flat_rule-all-nan-then-flat"),
       PICK("test_reference_keeps_the_documented_rules-flat-windows")]),
-    # the chunked scan: a chunk's windows are scored with that chunk's validity flags
+    ("pick-over-python-floats", "matching.py", "least = np.fmin.reduce(keys)",
+     "least = np.fmin.reduce(np.array(keys.tolist()))", SMALL_CHUNK),
+    # the chunked scan: a chunk's windows are scored with that chunk's validity flags, and the
+    # scan holds 16 bytes a candidate plus 8 chunks of 2^14 values at most
     ("scan-chunk-flags-misaligned", "matching.py", "zip(chunk, valid[lo:])", "zip(chunk, valid)",
      ["tests/test_matching.py::test_scan_keeps_the_bits_of_a_window_loop[correlation]"]),
+    ("scan-unchunked", "matching.py", "step = max(1, _CHUNK // window)", "step = keys.size",
+     SMALL_CHUNK),
+    ("scan-chunk-of-2^24-values", "matching.py", "_CHUNK = 1 << 14", "_CHUNK = 1 << 24",
+     [MEMORY("difference-real-chunk-none")]),
+    ("scan-flags-over-all-windows", "matching.py",
+     "valid[lo : lo + step] = (chunk != chunk[:, :1]).any(axis=1)",
+     "valid[lo : lo + step] = (rows != rows[:, :1]).any(axis=1)[lo : lo + step]",
+     [MEMORY("correlation-none"), MEMORY("correlation-linear")]),
     # quantize: level floor((v - min) / step + 0.5), the top one pinned to max
     ("quantize-ties-go-down", "series.py", "idx = np.floor((series.values - vmin) / step + 0.5)",
      "idx = np.ceil((series.values - vmin) / step - 0.5)",
@@ -74,6 +89,8 @@ MUTANTS = [
      "out = out",
      [QUANTIZE("test_endpoints_map_to_themselves-0"),
       QUANTIZE("test_error_bound_and_idempotence-1")]),
+    ("quantize-top-quotient-unclipped", "series.py", "idx = np.clip(idx, 0, levels)", "pass",
+     [QUANTIZE("top-quotient-past-the-last-level")]),
     # the least-squares line
     ("trend-variance-loses-a-mean", "series.py",
      "x_var = (x * x).sum() / x.size - x_mean * x_mean", "x_var = (x * x).sum() / x.size - x_mean",
@@ -161,13 +178,31 @@ MUTANTS = [
 ]
 
 
+# pytest.main with a Hypothesis profile that does not shrink, loaded at pytest_configure: before
+# the test modules make their settings, and after pytest's import hook is in place, since a
+# hypothesis imported before pytest.main warns that it cannot be rewritten, an error under the
+# repository's filterwarnings
+CHILD = """
+import sys
+import pytest
+
+class NoShrink:
+    def pytest_configure(self, config):
+        from hypothesis import Phase, settings
+        settings.register_profile("no-shrink", phases=[Phase.explicit, Phase.reuse, Phase.generate])
+        settings.load_profile("no-shrink")
+
+sys.exit(pytest.main(sys.argv[1:], plugins=[NoShrink()]))
+"""
+
+
 def run_pytest(src: Path, nodes) -> subprocess.CompletedProcess:
     """pytest on the node ids, from the repository root, importing ngramcast from src."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     env["HYPOTHESIS_STORAGE_DIRECTORY"] = str(src.parent / ".hypothesis")  # a killer's patches
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rf", "-o", f"pythonpath={src}",
+        [sys.executable, "-c", CHILD, "-q", "--tb=no", "-rf", "-o", f"pythonpath={src}",
          "-p", "no:cacheprovider", *nodes],
         cwd=ROOT, env=env, capture_output=True, text=True, check=False)
 

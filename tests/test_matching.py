@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import tracemalloc
@@ -211,23 +212,30 @@ def test_scan_keeps_the_bits_of_a_window_loop(criterion, rows, chunks, n, p, exp
 
 
 @pytest.mark.parametrize("detrend_mode", [False, True], ids=["none", "linear"])
-@pytest.mark.parametrize("criterion, k", [(DIFF, 10**6), (CORR, 10**5)],
-                         ids=["difference", "correlation"])
-def test_scan_memory_is_bounded(criterion, k, detrend_mode):
-    """The scan holds its keys and one chunk, not a K-by-N window matrix.
+@pytest.mark.parametrize("criterion, k, chunk", [
+    (DIFF, 10**6, None), (DIFF, 10**4, 20 * 20), (CORR, 10**4, 20 * 20)],
+    ids=["difference-real-chunk", "difference", "correlation"])
+def test_scan_memory_is_bounded(criterion, k, chunk, detrend_mode):
+    """The scan's peak is at most 16 bytes a candidate plus 8 chunks of float64 values.
 
-    Unchunked, the window matrix alone would be N * K * 8 bytes = 160 MB at N = 20 and
-    K = 10^6. Correlation scores a window at a time in Python, so it runs at K = 10^5.
+    Its keys, validity flags and the pick's mask are about 11 bytes a candidate, and its
+    temporaries a few chunks; unchunked, the window matrix alone would be N * K * 8 bytes =
+    160 MB at N = 20 and K = 10^6. The K = 10^4 items scan in chunks of 20 windows, so the
+    candidates' bytes dominate the bound; the real-chunk items check the 2^14-value chunk
+    itself, stated here rather than read from the module, so a changed constant fails.
     """
     series, _ = quantize(generate(GeneratorSpec(length=k, noise=0.15, seed=1)), 32)
-    tracemalloc.start()
-    try:
-        find_best_match(series, 20, 20, criterion, detrend_mode)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * k * 8
-
+    patch = contextlib.nullcontext() if chunk is None else mock.patch.object(
+        matching, "_CHUNK", chunk)
+    with patch:
+        tracemalloc.start()
+        try:
+            find_best_match(series, 20, 20, criterion, detrend_mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    bound = 16 * k + 8 * 8 * (chunk or 2**14)  # 2^14 values: the real chunk
+    assert peak <= bound, f"{peak / k:.1f} bytes a candidate, {peak / bound:.0%} of the bound"
 
 
 A = 5e307  # windows of +-A detrend to an L1 sum that overflows; the fit of [A, A, A] overflows

@@ -63,6 +63,9 @@ QUANTIZE = [
     *((f"test_error_bound_and_idempotence-{trial}", values, rng.randint(1, 40))
       for trial, values, rng in uniform_draws(1, 50, -5, 5, lambda rng: 60)),
     ("test_levels_up_to_2_to_the_63", [1.0, 2.0], 2**63 - 1),
+    # max's quotient (max - min) / step is levels here, and + 0.5 rounds it to levels + 1: the
+    # clip brings that index back to levels, which is pinned to max
+    ("top-quotient-past-the-last-level", [0.0, 1.0], 2**52 + 1, [0.0, 1.0]),
 ]
 
 

@@ -20,17 +20,6 @@ ROWS = [1, B - 1, B, B + 1, 3 * B + 1]
 
 
 @pytest.mark.parametrize("rows", ROWS)
-def test_batched_lines_match_one_shot_bytes(rows, tmp_path, capsys):
-    lines = [f"row,{i},{i / 7!r}" for i in range(rows)]
-    want = "\n".join(lines) + "\n"
-    path = tmp_path / "out.csv"
-    cli._write_lines(path, iter(lines))
-    assert path.read_bytes() == want.encode("utf-8")
-    cli._write_lines(None, lines)
-    assert capsys.readouterr().out == want
-
-
-@pytest.mark.parametrize("rows", ROWS)
 def test_generate_to_file_and_stdout_is_one_shot_bytes(rows, tmp_path, capsys):
     path = tmp_path / "s.csv"
     flags = ["generate", "--length", str(rows), "--noise", "0.15", "--seed", "7"]
