@@ -69,8 +69,9 @@ MUTANTS = [
       PICK("test_reference_keeps_the_documented_rules-flat-windows")]),
     ("pick-over-python-floats", "matching.py", "least = np.fmin.reduce(keys)",
      "least = np.fmin.reduce(np.array(keys.tolist()))", SMALL_CHUNK),
-    # the chunked scan: a chunk's windows are scored with that chunk's validity flags, and the
-    # scan holds 16 bytes a candidate plus 8 chunks of 2^14 values at most
+    # the chunked scan: a chunk's windows are scored with that chunk's validity flags, which only
+    # a drawn chunk with a flat window tells apart, and the scan holds 16 bytes a candidate plus
+    # 8 chunks of 2^14 values at most
     ("scan-chunk-flags-misaligned", "matching.py", "zip(chunk, valid[lo:])", "zip(chunk, valid)",
      ["tests/test_matching.py::test_scan_keeps_the_bits_of_a_window_loop[correlation]"]),
     ("scan-unchunked", "matching.py", "step = max(1, _CHUNK // window)", "step = keys.size",

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import traceback
@@ -22,6 +23,7 @@ from ngramcast import TimeSeries, forecast, holdout_backtest
 from ngramcast.cli import _run_forecast, _run_generate, build_parser, main
 from ngramcast.evaluation import GeneratorSpec, generate
 from ngramcast.forecasting import ForecastConfig, HoltConfig
+from mutants import MUTANTS
 from test_refusals import BELOW, EXCLUDED, HUGE, LINE, REFUSALS, SHORT, SIGN, TOO_LARGE
 
 
@@ -505,6 +507,43 @@ def test_readme_lists_the_table_messages():
            if span.startswith(("error:", "warning:", "ngramcast: error:"))]
     _in_order(cli, [stderr.strip() for _, _, _, _, code, stderr, *_ in RUNS
                     if code or stderr.startswith("warning:")])
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_names_no_test():
+    """Outside its Tests section the README is a user's document: no line names a test, a
+    tests/ path, a mutant row, a CI job or the ROADMAP."""
+    sections = re.split(r"^(?=## )", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.M)
+    user = [section for section in sections if not section.startswith("## Tests\n")]
+    assert len(user) == len(sections) - 1
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    names = [name for name, *_ in MUTANTS] + re.findall(r"^  ([\w-]+):$",
+                                                         workflow.split("\njobs:\n")[1], re.M)
+    named = re.compile(r"\btest_\w|\btests/|ROADMAP|" + "|".join(
+        rf"(?<![\w-]){re.escape(name)}(?![\w-])" for name in names))
+    assert [line for section in user for line in section.splitlines() if named.search(line)] == []
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    """The Library block runs as written, and so does each ngramcast command of the CLI block,
+    in order, each exiting 0 with no warning."""
+    monkeypatch.chdir(tmp_path)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (library,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    scope = {}
+    exec(library, scope)
+    assert len(scope["result"].values) == 20
+    assert scope["report"].rmse >= scope["report"].mae
+    assert scope["holt"].method == "holt"
+    commands = [line for block in re.findall(r"^```sh\n(.*?)^```$", readme, re.M | re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("ngramcast ")]
+    assert [command.split()[1] for command in commands] == ["generate", "forecast", "backtest"]
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, command
+        assert "warning:" not in capsys.readouterr().err, command
 
 
 PACKAGE = Path(ngramcast.__file__).resolve().parent

@@ -197,6 +197,7 @@ REFUSALS = [
     pytest.param(call, kind, message, *minimum or [None], id=name)
     for name, call, kind, message, *minimum in REFUSALS])
 def test_refusal(call, kind, message, minimum):
+    """The exact type, not a subclass, and the whole message, with every warning an error."""
     with warnings.catch_warnings(), pytest.raises(Exception) as caught:
         warnings.simplefilter("error")
         call()
