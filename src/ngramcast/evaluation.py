@@ -85,12 +85,15 @@ def clean_values(spec: GeneratorSpec, positions) -> np.ndarray:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # TimeSeries refuses a value that overflows
+@np.errstate(over="ignore", invalid="ignore")  # a value that overflows is refused below
 def generate(spec: GeneratorSpec) -> TimeSeries:
     """Deterministic series for the spec; identical spec gives identical bits."""
     values = clean_values(spec, np.arange(1, spec.length + 1))
     if spec.noise > 0.0:
         values = values + uniform_noise(spec.noise, spec.length, spec.seed)
+    if not np.isfinite(values).all():
+        raise ValueError("generated values must all be finite: amplitude, slope, quadratic, noise"
+                         " and length set their size, and a period near 0 makes the sine nan")
     return TimeSeries(values)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import NoValidCandidate, SeriesTooShort, TimeSeries, _detrend_rows, pearson
+from .series import NoValidCandidate, SeriesTooShort, TimeSeries, _fit_rows, pearson
 _pearson = pearson.__wrapped__  # pearson without its own error state: the scan below sets one
 _CHUNK = 1 << 14  # values in one chunk of the scan, whatever N: 128 KB a temporary
 _LINE = ": a line fits any 2 points, so a detrended window of 2 is only rounding noise"
@@ -74,13 +74,15 @@ def find_best_match(
     # an L1 sum or a fit may overflow or be nan: such a key loses, and forecast refuses the fit
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if detrend_mode:
-            query = _detrend_rows(query.copy())
+            x, slope, intercept = _fit_rows(query)  # detrend(query, fit_linear_trend(query))
+            query = query - (slope * x + intercept)
         for lo in range(0, keys.size, step):
             chunk = rows[lo : lo + step].copy()  # C-contiguous, so each key has a 1-d window's bits
             if not difference:  # r is undefined; detrended, it would be a ramp of rounding residues
                 valid[lo : lo + step] = (chunk != chunk[:, :1]).any(axis=1)
             if detrend_mode:
-                _detrend_rows(chunk)
+                x, slope, intercept = _fit_rows(chunk)  # the same per row, in place
+                chunk -= slope * x + intercept
             if difference:
                 keys[lo : lo + step] = np.abs(query - chunk).sum(axis=1)
             else:  # -r, or nan where r is undefined

@@ -127,12 +127,6 @@ def _fit_rows(y: np.ndarray) -> tuple:  # positions 1..n, and fit_linear_trend's
     return x, slope, y_mean - slope * x_mean
 
 
-def _detrend_rows(y: np.ndarray) -> np.ndarray:  # detrend(w, fit_linear_trend(w)) per row, in place
-    x, slope, intercept = _fit_rows(y)
-    y -= slope * x + intercept
-    return y
-
-
 def detrend(window, trend: LinearTrend) -> np.ndarray:
     """Subtract the trend evaluated at the window's own 1-based positions."""
     y = np.asarray(window, dtype=np.float64)

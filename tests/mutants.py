@@ -147,6 +147,9 @@ MUTANTS = [
      "if self.period < 0:",
      [REFUSAL("test_kind_validation-period-0"), REFUSAL("test_kind_validation-period-nan"),
       EVERY_RAISE]),
+    ("generated-values-unchecked", "evaluation.py", "if not np.isfinite(values).all():",
+     "if False:", [table(f"generated-values-not-finite-{case}") for table in (REFUSAL, CLI)
+                   for case in ("quadratic", "period")] + [EVERY_RAISE]),
     ("quantize-wide-range-unchecked", "series.py", "if not math.isfinite(step):",
      "if math.isnan(step):", [REFUSAL("value-range-too-wide"), EVERY_RAISE]),
     # the CLI: the held-out indices, the hint, the manifest, the flags, the error lines, ingest

@@ -24,7 +24,8 @@ from ngramcast.cli import _run_forecast, _run_generate, build_parser, main
 from ngramcast.evaluation import GeneratorSpec, generate
 from ngramcast.forecasting import ForecastConfig, HoltConfig
 from mutants import MUTANTS
-from test_refusals import BELOW, EXCLUDED, HUGE, LINE, REFUSALS, SHORT, SIGN, TOO_LARGE
+from test_refusals import (BELOW, EXCLUDED, HUGE, LINE, NOT_FINITE, REFUSALS, SHORT, SIGN,
+                           TOO_LARGE)
 
 
 def _values(**fields) -> list:
@@ -166,6 +167,11 @@ RUNS = [
      "error: slope and quadratic must be 0 for kind 'sinusoid'\n"),
     ("length-past-2^53", "generate", f"--length {HUGE}", None, 1,
      f"error: length must be at most 2^53, got {HUGE}\n"),
+    # the flags are finite, but a value is not: generate names the flags, not the series
+    *((f"generated-values-not-finite-{case}", "generate", flags, None, 1, _error(NOT_FINITE))
+      for case, flags in [
+          ("quadratic", "--kind sinusoid-quadratic --quadratic 1e300 --length 1000000"),
+          ("period", "--period 1e-320")]),
     ("test_bad_levels_wins_over_a_missing_file", "forecast", "--horizon 5 --levels 0", "missing",
      1, "error: levels must be >= 1, got 0\n"),
     # 10^400 does not convert to float64; the config refuses it before the input is read
@@ -594,6 +600,6 @@ def test_every_raise_site_is_reached(tmp_path, monkeypatch):
         reached |= {(path, first) for path, first in sites
                     if path == str(Path(frames[-1].filename).resolve())
                     and first <= frames[-1].lineno <= sites[path, first]}
-    assert len(sites) == 50  # 47 raise statements and 3 enum calls
+    assert len(sites) == 51  # 48 raise statements and 3 enum calls
     assert sorted(set(sites) - reached) == []
     assert outside == ["test_values_are_immutable"]  # the one refusal numpy makes itself

@@ -11,6 +11,7 @@ import hashlib
 import math
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ def test_matches_reference_parser(text, tmp_path):
     assert outcome(ingest_csv, path) == outcome(reference_ingest_csv, path)
 
 
+@seed(20221019)
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts(), batch=st.integers(1, 6))
+def test_matches_reference_parser_in_small_pieces(text, batch, tmp_path):
+    """A piece of a few characters holds a row or two, so every input spans many pieces.
+    The patch is undone after each example; a function-scoped monkeypatch is not."""
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(cli, "_BATCH", batch):
+        assert outcome(ingest_csv, path) == outcome(reference_ingest_csv, path)
+
+
 @pytest.mark.parametrize("text", [
     "1\n2\nabc\nnan\n",
     "1\n2,3\nabc\n",
@@ -164,18 +178,6 @@ def test_pinned_values(text, expected, tmp_path):
                        hashlib.sha256(path.read_bytes()).hexdigest())
     else:
         assert got == (expected[0].__name__, expected[1].replace("PATH", str(path)))
-
-
-@seed(20221019)
-@settings(max_examples=300, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=csv_texts(), batch=st.integers(1, 6))
-def test_matches_reference_parser_in_small_pieces(text, batch, tmp_path, monkeypatch):
-    # a piece of a few characters holds a row or two, so every input spans many pieces
-    monkeypatch.setattr(cli, "_BATCH", batch)
-    path = tmp_path / "s.csv"
-    path.write_bytes(text.encode("utf-8"))
-    assert outcome(ingest_csv, path) == outcome(reference_ingest_csv, path)
 
 
 @pytest.mark.parametrize("text", [

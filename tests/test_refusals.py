@@ -33,6 +33,8 @@ TOO_LARGE = "multiplier {} times horizon {} is too large: the window length must
 SHORT = "series length {} is below the minimum required length {}"
 EXCLUDED = "every candidate window was excluded under the correlation criterion"
 TOO_LARGE_VALUES = "values up to {} are too large for {}: {} float64"
+NOT_FINITE = ("generated values must all be finite: amplitude, slope, quadratic, noise and length"
+              " set their size, and a period near 0 makes the sine nan")
 MATCH_40 = partial(find_best_match, TimeSeries(np.arange(40.0)))  # then N, P, criterion, detrend
 
 REFUSALS = [
@@ -121,6 +123,12 @@ REFUSALS = [
           ("noise", {"noise": -0.5}, "noise half-width must be >= 0, got -0.5"),
           ("linear-quadratic", {"kind": "sinusoid-linear", "quadratic": 0.1},
            "quadratic must be 0 for kind 'sinusoid-linear'")]),
+    # a spec of finite fields can still make a value past float64: 1e305 * 100^2 overflows, and
+    # 2 pi k / 1e-320 is inf, whose sine is nan
+    *((f"generated-values-not-finite-{case}", partial(generate, GeneratorSpec(**fields)),
+       ValueError, NOT_FINITE) for case, fields in [
+          ("quadratic", {"kind": "sinusoid-quadratic", "quadratic": 1e305}),
+          ("period", {"period": 1e-320})]),
     # a relative bound: an RMSE that underflowed to 0 below a nonzero MAE is caught
     ("test_mae_above_rmse_is_refused", partial(BacktestReport, 6.7e-201, 0.0, None, 0, None),
      ValueError, "MAE cannot exceed RMSE"),

@@ -10,7 +10,6 @@ from ngramcast.series import (
     LinearTrend,
     QuantizationGrid,
     TimeSeries,
-    _detrend_rows,
     detrend,
     fit_linear_trend,
     pearson,
@@ -152,9 +151,6 @@ def test_sums_over_the_count_keep_the_bits_of_mean(case):
         assert (bits(trend.slope), bits(trend.intercept)) == (
             bits(expected.slope), bits(expected.intercept))
         assert detrend(x, trend).tobytes() == (x - trend.at(np.arange(1, x.size + 1))).tobytes()
-        # the scan's helper, on the window alone and as a row of a block
-        assert _detrend_rows(x.copy()).tobytes() == detrend(x, trend).tobytes()
-        assert _detrend_rows(np.stack([y, x]))[1].tobytes() == detrend(x, trend).tobytes()
         r, expected_r = pearson(x, y), mean_pearson_reference(x, y)
     if (x == x[0]).all() or (y == y[0]).all():
         assert r is None
