@@ -69,6 +69,12 @@ MUTANTS = [
       PICK("test_reference_keeps_the_documented_rules-flat-windows")]),
     ("pick-over-python-floats", "matching.py", "least = np.fmin.reduce(keys)",
      "least = np.fmin.reduce(np.array(keys.tolist()))", SMALL_CHUNK),
+    # the reported score has the bits of the picked window's own score
+    ("pick-reports-a-score-one-ulp-off", "matching.py", "score = float(keys[start - 1])",
+     "score = float(keys[start - 1]) * (1 + 2**-52)",
+     [f"tests/test_matching.py::test_pick_keeps_the_exact_contract[sampled-reported-score-{mode}]"
+      for mode in ("difference-none", "difference-linear", "correlation-none",
+                   "correlation-linear")]),
     # the chunked scan: a chunk's windows are scored with that chunk's validity flags, which only
     # a drawn chunk with a flat window tells apart, and the scan holds 16 bytes a candidate plus
     # 8 chunks of 2^14 values at most

@@ -25,37 +25,40 @@ DIFF = SimilarityCriterion.DIFFERENCE
 CORR = SimilarityCriterion.CORRELATION
 
 
-def window_keys(values, n, p, criterion, detrend_mode):
-    """find_best_match's key of every admissible start, each window scored on its own with the
-    public ops: its L1 score under DIFFERENCE, -r under CORRELATION, None if it is excluded.
+def window_key(values, n, criterion, detrend_mode):
+    """The function of a 1-based start that gives find_best_match's key of that window, scored
+    on its own with the public ops: its L1 score under DIFFERENCE, -r under CORRELATION, None if
+    it is excluded.
 
     Under CORRELATION a window whose raw values are all equal or whose r is undefined is
     excluded, and a constant raw query excludes every window."""
     values = np.asarray(values, dtype=float)
-    k = len(values)
-    query = values[k - n :]
+    raw_query = values[len(values) - n :]
 
     def excluded(w):
         return criterion is CORR and (w == w[0]).all()
 
-    if excluded(query):
-        return [None] * (k - n - p + 1)
-    keys = []
-    with np.errstate(all="ignore"):  # a fit or an L1 sum of values near 1e308 overflows
-        if detrend_mode:
-            query = detrend(query, fit_linear_trend(query))
-        for s in range(1, k - n - p + 2):
-            cand = values[s - 1 : s - 1 + n]
-            if excluded(cand):
-                keys.append(None)
-                continue
-            if detrend_mode:
-                cand = detrend(cand, fit_linear_trend(cand))
-            if criterion is DIFF:
-                keys.append(float(np.abs(query - cand).sum()))
-            else:
-                keys.append(None if (r := pearson(query, cand)) is None else -r)
-    return keys
+    @np.errstate(all="ignore")  # a fit or an L1 sum of values near 1e308 overflows
+    def prepared(w):
+        return detrend(w, fit_linear_trend(w)) if detrend_mode else w
+
+    @np.errstate(all="ignore")
+    def key(start):
+        cand = values[start - 1 : start - 1 + n]
+        if excluded(raw_query) or excluded(cand):
+            return None
+        if criterion is DIFF:
+            return float(np.abs(query - prepared(cand)).sum())
+        return None if (r := pearson(query, prepared(cand))) is None else -r
+
+    query = prepared(raw_query)
+    return key
+
+
+def window_keys(values, n, p, criterion, detrend_mode):
+    """window_key of every admissible start."""
+    key = window_key(values, n, criterion, detrend_mode)
+    return [key(s) for s in range(1, len(values) - n - p + 2)]
 
 
 def brute_force_best(values, n, p, criterion, detrend_mode):
@@ -165,7 +168,8 @@ CASE_SETS = {"sampled": sampled_series, "exhaustive": exhaustive_series}
 
 @functools.cache
 def exact_cases(case_set, criterion, detrend_mode):
-    """(matcher start or None, exact best-score class) of every case of the set in one mode."""
+    """(series, N, the matcher's start and score, both None for NoValidCandidate, exact
+    best-score class) of every case of the set in one mode."""
     cases, memo = [], {}  # the scores at P = 1 hold every P's, whose starts run 1..K-N-P+1
     for series, idx, n, p in CASE_SETS[case_set]():
         if (key := (tuple(idx), n)) not in memo:
@@ -173,18 +177,28 @@ def exact_cases(case_set, criterion, detrend_mode):
         valid = {s: v for s, v in memo[key].items() if v is not None and s <= len(idx) - n - p + 1}
         best = (min if criterion is DIFF else max)(valid.values(), default=None)
         try:
-            start = find_best_match(series, n, p, criterion, detrend_mode).start
+            match = find_best_match(series, n, p, criterion, detrend_mode)
+            pick = (match.start, match.score)
         except NoValidCandidate:
-            start = None
-        cases.append((start, [s for s, v in valid.items() if v == best]))
+            pick = (None, None)
+        cases.append((series, n, *pick, [s for s, v in valid.items() if v == best]))
     return cases
 
 
-# the matcher's contract on quantized series, each rule a check of (start, exact best class):
-# the pick is in the exact best class, and it is the class's latest start, or NoValidCandidate
-# when no window is exactly valid
-RULES = {"best-class": lambda start, ties: not ties or start in ties,
-         "latest-of-class": lambda start, ties: start == (max(ties) if ties else None)}
+def own_score(values, n, criterion, detrend_mode, start):
+    """The score of the window at start, scored on its own by window_key: r under CORRELATION."""
+    key = window_key(values, n, criterion, detrend_mode)(start)
+    return key if key is None or criterion is DIFF else -key
+
+
+# the matcher's contract on quantized series, each rule a check of (start, score, exact best
+# class, own_score of a start): the pick is in the exact best class; it is the class's latest
+# start, or NoValidCandidate when no window is exactly valid; and its score has the bits of its
+# window's own score, the scalar score that ROADMAP item 2 reports for the kernel's pick
+RULES = {"best-class": lambda start, score, ties, own: not ties or start in ties,
+         "latest-of-class": lambda start, score, ties, own: start == max(ties, default=None),
+         "reported-score": lambda start, score, ties, own: (
+             start is None or repr(score) == repr(own(start)))}
 # (case set, rule, mode) where today's float scan breaks the rule: every sampled mode misses
 # recency (22, 86, 12 and 38 of 424 cases), and of the 26,232 exhaustive cases a mode, 72
 # correlation-linear picks are exact lines and 2,543, 1,283 and 2,166 picks miss recency
@@ -197,21 +211,25 @@ BROKEN = {*(("sampled", "latest-of-class", mode) for mode in MODE_IDS),
     pytest.param(case_set, rule, *mode, id=f"{case_set}-{rule}-{mode_id}",
                  marks=[ITEM_2] * ((case_set, rule, mode_id) in BROKEN))
     for case_set in CASE_SETS for rule in RULES
+    if (case_set, rule) != ("exhaustive", "reported-score")
     for mode, mode_id in zip(MODES, MODE_IDS)])
 def test_pick_keeps_the_exact_contract(case_set, rule, criterion, detrend_mode):
     """Checked against exact_scores on every case of a set: the sampled one, 424 quantized
-    random series, and the exhaustive one, 26,232 cases a mode."""
+    random series, and the exhaustive one, 26,232 cases a mode. The reported score is checked
+    on the sampled set alone: on the exhaustive one it would cost about 6 s of tier-1."""
     cases = exact_cases(case_set, criterion, detrend_mode)
     assert len(cases) == {"sampled": 400 + 24, "exhaustive": (3**8 - 3) * 2 * 2}[case_set]
-    wrong = [case for case in cases if not RULES[rule](*case)]
+    wrong = [(start, score, ties) for series, n, start, score, ties in cases
+             if not RULES[rule](start, score, ties, functools.partial(
+                 own_score, series.values, n, criterion, detrend_mode))]
     assert wrong == [], f"{len(wrong)} wrong picks, first {wrong[0]}"
 
 
 SCAN_CASES = dict(
     rows=st.integers(3, 9),  # rows a chunk: 3 is the least that leaves (1, -1) two candidates
     chunks=st.sampled_from([(1, -1), (1, 0), (1, 1), (2, 37)]),
-    n=st.sampled_from(range(3, 65)),  # uniform: hypothesis' integers favour the slow small n
-    p=st.integers(1, 4), exponent=st.integers(-300, 300) | st.sampled_from([-300, 300]),
+    n=st.sampled_from(range(2, 100)),  # uniform: hypothesis' integers favour the slow small n
+    p=st.integers(1, 5), exponent=st.integers(-300, 300) | st.sampled_from([-300, 300]),
     offset=st.just(0.0) | st.floats(-1e12, 1e12), on_grid=st.booleans(), flat=st.booleans(),
     data_seed=st.integers(0, 2**32 - 1))
 
@@ -241,10 +259,11 @@ def test_scan_keeps_the_bits_of_a_window_loop(criterion, rows, chunks, n, p, exp
 
     The property does not depend on the chunk's size, so the scan runs in chunks of a few rows
     and crosses a boundary every few windows; test_k2000_scan_keeps_its_bits covers the real
-    chunk."""
+    chunk. It is the one check that the matcher agrees with brute_force_best on random floats;
+    the linear trend needs N >= 3."""
     series = scan_series(rows, chunks, n, p, exponent, offset, on_grid, flat, data_seed)
     with mock.patch.object(matching, "_CHUNK", rows * n):  # a chunk of rows windows
-        for detrend_mode in (False, True):
+        for detrend_mode in (False, True)[: 1 + (n > 2)]:
             checked_pick(series.values, n, p, criterion, detrend_mode)
 
 
@@ -296,15 +315,6 @@ def with_query_at(values, start, n):
     return out
 
 
-def random_windows():
-    """25 draws of (draw, values, N, P): K in [20, 200) uniform(-3, 3) values, P in [1, 6)."""
-    rng = np.random.RandomState(11)
-    for draw in range(25):
-        values = rng.uniform(-3, 3, size=rng.randint(20, 200))
-        p = rng.randint(1, 6)
-        yield draw, values, rng.randint(2, (values.size - p - 1) // 2), p
-
-
 def affine_copies():
     """10 draws of (draw, values, c * values + d) with c in [0.2, 4) and d in [-10, 10)."""
     rng = np.random.RandomState(12)
@@ -321,9 +331,9 @@ def overflowing_head():
     return values
 
 
-# (id, values, N, P, criterion, detrend_mode[, start[, score[, classes]]]): the pick's start, or
+# (id, values, N, P, criterion, detrend_mode, start[, score[, classes]]): the pick's start, or
 # None for NoValidCandidate; its score; and each window's score class from window_keys, None for
-# an excluded window. A row that states nothing checks only agreement with brute_force_best.
+# an excluded window.
 PICKS = [
     # the window at start 1 is the best match
     ("test_identity_is_zero_difference", [1, 2, 3, 9, 1, 2, 3], 3, 1, DIFF, False, 1, 0.0),
@@ -407,12 +417,6 @@ PICKS = [
     *((f"test_correlation_argmax_affine_invariant-{draw}", scaled, 10, 5, CORR, False,
        brute_force_best(values, 10, 5, CORR, False)[0])
       for draw, values, scaled in affine_copies()),
-    # agreement alone: brute_force_best scores every admissible start, and only those
-    *((f"test_monotone_exclusion-{n}", uniform(13, 100), n, n, DIFF, False)
-      for n in (5, 10, 20, 30)),
-    *((f"test_brute_force_equivalence-{draw}-{crit.value}-{'linear' if dt else 'none'}", values,
-       n, p, crit, dt) for draw, values, n, p in random_windows() for crit in (DIFF, CORR)
-      for dt in (False, True) if n >= 3 or not dt),
 ]
 
 

@@ -31,13 +31,6 @@ def pearson_oracle(a, b):
     return float(num) / math.sqrt(float(ssa * ssb))
 
 
-class TestTimeSeries:
-    def test_values_are_immutable(self):
-        s = TimeSeries(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            s.values[0] = 5.0
-
-
 def uniform_draws(seed, count, low, high, size):
     """count draws of (draw, values, rng) from RandomState(seed): values = rng.uniform(low, high,
     size(rng)). A caller may draw more from rng before the next draw."""
